@@ -28,19 +28,12 @@ from .exceptions import (
     PoleError,
     TrigsumError,
 )
-from .phase import (
-    ComplexValue,
-    PhasePair,
-    binomial_phase_power,
-    half_angle_point,
-    make_phase_pair,
-    pow_int,
-    series_at_phase,
-)
+from .phase import binomial_phase_power, half_angle_point, phase_point, series_at_phase
 from .series import (
     DEFAULT_ABEL_RADII,
     DIVERGENCE_THRESHOLD,
     PARTIAL_TERM_BUDGET,
+    SUMMATION_METHODS,
     ConvergenceClass,
     SeriesKind,
     SeriesSpec,
@@ -51,13 +44,13 @@ from .series import (
     abel_terms_needed,
     cesaro_sum,
     classify,
+    evaluate,
     partial_sum,
     trig_values,
 )
 from .suites import (
     NEGATIVE_SUITE_RADII,
     SUITE_NAMES,
-    CaseMethod,
     CaseResult,
     ExpectedSource,
     SuiteCase,

@@ -48,21 +48,13 @@ def gen_binom_exact(n: int, k: int) -> int:
 def gen_binom(n: float, k: int) -> float:
     """Generalized binomial coefficient ``(n choose k)`` for real ``n``.
 
-    Total function: ``k < 0`` gives 0, ``k == 0`` gives 1.  Integer ``n``
-    with ``|n| <= EXACT_INTEGER_LIMIT`` is computed exactly and then
-    converted to float.
+    Total function: ``k < 0`` gives 0, ``k == 0`` gives 1.  Read off
+    ``binom_prefix``, so integer ``n`` with ``|n| <= EXACT_INTEGER_LIMIT``
+    is exact before the conversion to float.
     """
     if k < 0:
         return 0.0
-    if k == 0:
-        return 1.0
-    nf = float(n)
-    if nf.is_integer() and abs(nf) <= EXACT_INTEGER_LIMIT:
-        return _to_float(gen_binom_exact(int(nf), k))
-    c = 1.0
-    for j in range(k):
-        c *= (nf - j) / (j + 1)
-    return c
+    return binom_prefix(n, k + 1)[-1]
 
 
 def binom_prefix(n: float, count: int) -> list[float]:

@@ -19,16 +19,13 @@ import sys
 
 from .closed_forms import evaluate_closed
 from .exceptions import DivergentSeriesError, DomainError
-from .phase import binomial_phase_power
 from .series import (
-    PARTIAL_TERM_BUDGET,
+    SUMMATION_METHODS,
     ConvergenceClass,
-    SeriesKind,
     SeriesSpec,
-    abel_sum,
-    cesaro_sum,
+    SummationMethod,
     classify,
-    partial_sum,
+    evaluate,
 )
 from .suites import SUITE_NAMES, run_suite, write_report
 
@@ -38,6 +35,9 @@ EXIT_DOMAIN = 2
 EXIT_DIVERGENT = 3
 EXIT_USAGE = 64
 EXIT_IO = 74
+
+#: Names accepted by ``sum --method`` and ``table --methods``.
+_METHOD_NAMES = tuple(m.value for m in SUMMATION_METHODS)
 
 _ANGLE_RE = re.compile(
     r"\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)(deg|rad)?\s*")
@@ -66,17 +66,17 @@ def _num(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _default_method(conv: ConvergenceClass) -> str:
+def _default_method(conv: ConvergenceClass) -> SummationMethod:
     if conv in (ConvergenceClass.SUMMABLE_ONLY, ConvergenceClass.DIVERGENT):
-        return "abel"
-    return "partial"
+        return SummationMethod.ABEL
+    return SummationMethod.PARTIAL
 
 
-def _method_warning(method: str, conv: ConvergenceClass, n: float) -> str | None:
-    if method == "partial" and conv in (ConvergenceClass.SUMMABLE_ONLY,
-                                        ConvergenceClass.DIVERGENT):
+def _method_warning(method: SummationMethod, conv: ConvergenceClass, n: float) -> str | None:
+    if method is SummationMethod.PARTIAL and conv in (ConvergenceClass.SUMMABLE_ONLY,
+                                                      ConvergenceClass.DIVERGENT):
         return f"partial sums do not settle for a {conv.value} series"
-    if method == "cesaro" and (conv is ConvergenceClass.DIVERGENT or n <= -2):
+    if method is SummationMethod.CESARO and (conv is ConvergenceClass.DIVERGENT or n <= -2):
         return "the first-order mean is unreliable here; abel is the robust choice"
     return None
 
@@ -84,37 +84,21 @@ def _method_warning(method: str, conv: ConvergenceClass, n: float) -> str | None
 def _cmd_sum(args) -> int:
     spec = SeriesSpec(args.kind, args.n, args.phi)
     conv = classify(spec)
-    method = args.method or _default_method(conv)
+    method = SummationMethod(args.method) if args.method else _default_method(conv)
     warning = _method_warning(method, conv, spec.n)
     if warning:
         print(f"warning: {warning}", file=sys.stderr)
 
-    if method == "partial":
-        res = partial_sum(spec, args.terms or PARTIAL_TERM_BUDGET)
-        value, terms_used, residual = res.value, res.terms_used, res.residual_estimate
-    elif method == "cesaro":
-        res = cesaro_sum(spec, args.terms or PARTIAL_TERM_BUDGET)
-        value, terms_used, residual = res.value, res.terms_used, res.residual_estimate
-    elif method == "abel":
-        res = abel_sum(spec, terms=args.terms)
-        value, terms_used, residual = res.value, res.terms_used, res.residual_estimate
-    else:  # phase
-        try:
-            cos_sum, sin_sum = binomial_phase_power(spec.n, spec.phi)
-        except ValueError as exc:
-            raise DomainError(f"phase path needs integer n in 0..64: {exc}") from exc
-        value = sin_sum if spec.kind is SeriesKind.SINE else cos_sum
-        terms_used, residual = int(spec.n) + 1, 0.0
-
-    print(f"value {_num(value)}")
-    print(f"method {method}")
-    print(f"terms_used {terms_used}")
-    print(f"residual_estimate {_num(residual)}")
+    res = evaluate(spec, method, terms=args.terms)
+    print(f"value {_num(res.value)}")
+    print(f"method {method.value}")
+    print(f"terms_used {res.terms_used}")
+    print(f"residual_estimate {_num(res.residual_estimate)}")
     print(f"convergence {conv.value}")
     if args.tol is not None:
         closed = evaluate_closed(spec.kind, spec.n, spec.phi)
         if closed.domain_ok:
-            err = abs(value - closed.value)
+            err = abs(res.value - closed.value)
             ok = err <= args.tol * (1.0 + abs(closed.value))
             print(f"expected {_num(closed.value)}")
             print(f"abs_error {_num(err)}")
@@ -137,19 +121,9 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.failed == 0 else EXIT_FAILURES
 
 
-_TABLE_METHODS = ("partial", "cesaro", "abel", "phase")
-
-
 def _table_cell(method: str, spec: SeriesSpec, terms: int | None) -> float:
     try:
-        if method == "partial":
-            return partial_sum(spec, terms or PARTIAL_TERM_BUDGET).value
-        if method == "cesaro":
-            return cesaro_sum(spec, terms or PARTIAL_TERM_BUDGET).value
-        if method == "abel":
-            return abel_sum(spec, terms=terms).value
-        cos_sum, sin_sum = binomial_phase_power(spec.n, spec.phi)
-        return sin_sum if spec.kind is SeriesKind.SINE else cos_sum
+        return evaluate(spec, method, terms=terms).value
     except (DomainError, DivergentSeriesError, ValueError):
         return math.nan
 
@@ -159,8 +133,8 @@ def _cmd_table(args) -> int:
     if not methods:
         raise _UsageError("empty method list")
     for m in methods:
-        if m not in _TABLE_METHODS:
-            raise _UsageError(f"unknown method {m!r}; choose from {_TABLE_METHODS}")
+        if m not in _METHOD_NAMES:
+            raise _UsageError(f"unknown method {m!r}; choose from {_METHOD_NAMES}")
     if args.step <= 0:
         raise _UsageError("step must be positive")
     if args.from_angle >= args.to_angle:
@@ -186,7 +160,7 @@ def _build_parser() -> _Parser:
     p_sum.add_argument("--kind", required=True, choices=["cos", "sin"])
     p_sum.add_argument("--n", required=True, type=float)
     p_sum.add_argument("--phi", required=True, type=parse_angle)
-    p_sum.add_argument("--method", choices=["partial", "cesaro", "abel", "phase"])
+    p_sum.add_argument("--method", choices=_METHOD_NAMES)
     p_sum.add_argument("--terms", type=int)
     p_sum.add_argument("--tol", type=float)
     p_sum.set_defaults(func=_cmd_sum)

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
@@ -120,10 +120,6 @@ def reduced_neg_int(m: int, phi: float) -> ClosedFormValue:
     h = math.cos(0.5 * phi)
     if m == 1:
         value = 0.5
-    elif m == 2:
-        value = math.cos(phi) / (4.0 * h * h)
-    elif m == 3:
-        value = math.cos(1.5 * phi) / (8.0 * h ** 3)
     else:
         value = math.cos(0.5 * m * phi) / (2.0 ** m * h ** m)
     return ClosedFormValue(value, True, ClosedFormId.REDUCED_NEG_INT)
@@ -172,78 +168,21 @@ def lambda_series_closed(lam: float) -> ClosedFormValue:
 # Half-integer special values, kept as radical recipes
 # ----------------------------------------------------------------------
 
-class RadicalExpr:
-    """Tiny expression tree: rationals, sums, products and square roots."""
-
-    def eval_mpf(self):
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Rat(RadicalExpr):
-    value: Fraction
-
-    def eval_mpf(self):
-        return mp.mpf(self.value.numerator) / mp.mpf(self.value.denominator)
-
-    def __str__(self):
-        return str(self.value)
-
-
-@dataclass(frozen=True)
-class Sqrt(RadicalExpr):
-    arg: RadicalExpr
-
-    def eval_mpf(self):
-        return mp.sqrt(self.arg.eval_mpf())
-
-    def __str__(self):
-        return f"sqrt({self.arg})"
-
-
-@dataclass(frozen=True)
-class Add(RadicalExpr):
-    left: RadicalExpr
-    right: RadicalExpr
-
-    def eval_mpf(self):
-        return self.left.eval_mpf() + self.right.eval_mpf()
-
-    def __str__(self):
-        return f"({self.left} + {self.right})"
-
-
-@dataclass(frozen=True)
-class Mul(RadicalExpr):
-    left: RadicalExpr
-    right: RadicalExpr
-
-    def eval_mpf(self):
-        return self.left.eval_mpf() * self.right.eval_mpf()
-
-    def __str__(self):
-        return f"{self.left}*{self.right}"
-
-
-def _rat(p: int, q: int = 1) -> Rat:
-    return Rat(Fraction(p, q))
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
     spec: SeriesSpec
-    recipe: RadicalExpr | None
+    recipe: Callable[[], mp.mpf] | None
     description: str
     value: float | None
     divergent: bool = False
 
 
-def _entry(n: float, phi: float, recipe: RadicalExpr | None, description: str,
+def _entry(n: float, phi: float, recipe: Callable[[], mp.mpf] | None, description: str,
            divergent: bool = False) -> CatalogEntry:
     value = None
     if recipe is not None:
         with mp.workdps(50):
-            value = float(recipe.eval_mpf())
+            value = float(recipe())
     return CatalogEntry(SeriesSpec(SeriesKind.COSINE, n, phi), recipe, description,
                         value, divergent)
 
@@ -257,17 +196,14 @@ def special_value_catalog() -> tuple[CatalogEntry, ...]:
     exponent -1/2 has no value: that series diverges.
     """
     return (
-        _entry(0.5, 0.0, Sqrt(_rat(2)), "sqrt(2)"),
-        _entry(0.5, math.pi, _rat(0), "0"),
-        _entry(0.5, 0.5 * math.pi,
-               Sqrt(Mul(Add(_rat(1), Sqrt(_rat(2))), _rat(1, 2))),
+        _entry(0.5, 0.0, lambda: mp.sqrt(2), "sqrt(2)"),
+        _entry(0.5, math.pi, lambda: mp.mpf(0), "0"),
+        _entry(0.5, 0.5 * math.pi, lambda: mp.sqrt((1 + mp.sqrt(2)) / 2),
                "sqrt((1+sqrt(2))/2)"),
-        _entry(0.5, math.pi / 3.0,
-               Mul(_rat(1, 2), Sqrt(Add(_rat(3), Mul(_rat(2), Sqrt(_rat(3)))))),
+        _entry(0.5, math.pi / 3.0, lambda: mp.sqrt(3 + 2 * mp.sqrt(3)) / 2,
                "(1/2)*sqrt(3+2*sqrt(3))"),
-        _entry(-0.5, 0.0, Sqrt(_rat(1, 2)), "1/sqrt(2)"),
-        _entry(-0.5, 0.5 * math.pi,
-               Mul(_rat(1, 2), Sqrt(Add(_rat(1), Sqrt(_rat(2))))),
+        _entry(-0.5, 0.0, lambda: mp.sqrt(mp.mpf(1) / 2), "1/sqrt(2)"),
+        _entry(-0.5, 0.5 * math.pi, lambda: mp.sqrt(1 + mp.sqrt(2)) / 2,
                "(1/2)*sqrt(1+sqrt(2))"),
         _entry(-0.5, math.pi, None, "divergent", divergent=True),
     )

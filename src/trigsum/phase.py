@@ -8,15 +8,14 @@ series at once:
     sine sum   = (Delta(p) - Delta(q)) / (2i)
 
 For the binomial row this collapses further to (1+p)**n, giving a second,
-independent evaluation path for integer exponents.  Complex arithmetic is
-kept in-module as explicit real pairs so every rounding site sits under
-the cancellation checks below.
+independent evaluation path for integer exponents.  Both paths run on
+Python's built-in ``complex``; the conjugate combinations are checked for
+a cancelled imaginary residue below.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .exceptions import ConjugacyError
 
@@ -24,69 +23,14 @@ from .exceptions import ConjugacyError
 RESIDUE_BOUND = 1e-12
 
 
-@dataclass(frozen=True)
-class ComplexValue:
-    re: float
-    im: float
-
-    def __add__(self, other: "ComplexValue") -> "ComplexValue":
-        return ComplexValue(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ComplexValue") -> "ComplexValue":
-        return ComplexValue(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "ComplexValue") -> "ComplexValue":
-        return ComplexValue(self.re * other.re - self.im * other.im,
-                            self.im * other.re + self.re * other.im)
-
-    def conj(self) -> "ComplexValue":
-        return ComplexValue(self.re, -self.im)
-
-    def abs2(self) -> float:
-        return self.re * self.re + self.im * self.im
+def phase_point(phi: float) -> complex:
+    """Unit-circle point p = cos(phi) + i sin(phi); its conjugate is q."""
+    return complex(math.cos(phi), math.sin(phi))
 
 
-ONE = ComplexValue(1.0, 0.0)
-
-
-@dataclass(frozen=True)
-class PhasePair:
-    p: ComplexValue
-    q: ComplexValue
-    phi: float
-
-
-def make_phase_pair(phi: float) -> PhasePair:
-    """Unit-circle point at angle phi together with its conjugate."""
-    p = ComplexValue(math.cos(phi), math.sin(phi))
-    return PhasePair(p, p.conj(), phi)
-
-
-def half_angle_point(phi: float) -> ComplexValue:
+def half_angle_point(phi: float) -> complex:
     """Principal square root of the phase point, valid for phi in (-pi, pi)."""
-    return ComplexValue(math.cos(0.5 * phi), math.sin(0.5 * phi))
-
-
-def pow_int(z: ComplexValue, exponent: int) -> ComplexValue:
-    """z raised to a nonnegative integer power by binary exponentiation."""
-    if exponent < 0:
-        raise ValueError("exponent must be >= 0")
-    result = ONE
-    base = z
-    e = exponent
-    while e:
-        if e & 1:
-            result = result * base
-        base = base * base
-        e >>= 1
-    return result
-
-
-def _horner(coeffs: list[float], z: ComplexValue) -> ComplexValue:
-    acc = ComplexValue(coeffs[-1], 0.0)
-    for c in reversed(coeffs[:-1]):
-        acc = acc * z + ComplexValue(c, 0.0)
-    return acc
+    return phase_point(0.5 * phi)
 
 
 def series_at_phase(coeffs, phi: float) -> tuple[float, float]:
@@ -103,18 +47,21 @@ def series_at_phase(coeffs, phi: float) -> tuple[float, float]:
         raise ValueError("need at least one coefficient")
     if not all(math.isfinite(c) for c in coeffs):
         raise ValueError("coefficients must be finite")
-    pair = make_phase_pair(phi)
-    dp = _horner(coeffs, pair.p)
-    dq = _horner(coeffs, pair.q)
+    p = phase_point(phi)
+    q = p.conjugate()
+    dp = dq = complex(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        dp = dp * p + c
+        dq = dq * q + c
     scale = sum(abs(c) for c in coeffs)
-    cos_residue = abs(dp.im + dq.im) / 2.0
-    sin_residue = abs(dp.re - dq.re) / 2.0
+    cos_residue = abs(dp.imag + dq.imag) / 2.0
+    sin_residue = abs(dp.real - dq.real) / 2.0
     if max(cos_residue, sin_residue) > RESIDUE_BOUND * scale:
         raise ConjugacyError(
             f"imaginary residue {max(cos_residue, sin_residue):.3e} exceeds "
             f"{RESIDUE_BOUND:.0e} * {scale:.3e}")
-    cos_sum = (dp.re + dq.re) / 2.0
-    sin_sum = (dp.im - dq.im) / 2.0
+    cos_sum = (dp.real + dq.real) / 2.0
+    sin_sum = (dp.imag - dq.imag) / 2.0
     return cos_sum, sin_sum
 
 
@@ -129,6 +76,5 @@ def binomial_phase_power(n: int, phi: float) -> tuple[float, float]:
     n = int(n)
     if not 0 <= n <= 64:
         raise ValueError("n must be in 0..64")
-    pair = make_phase_pair(phi)
-    z = pow_int(ComplexValue(1.0 + pair.p.re, pair.p.im), n)
-    return z.re, z.im
+    z = (1.0 + phase_point(phi)) ** n
+    return z.real, z.imag

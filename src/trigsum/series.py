@@ -13,8 +13,10 @@ Three methods are provided:
 * ``abel_sum``      -- radial samples ``f(r) = sum_k c_k r^k trig(k*phi)``
   extrapolated polynomially in ``1 - r`` to the unit radius.
 
-These serve as summation oracles, deliberately independent of the product
-closed forms they are checked against.
+``evaluate`` dispatches one ``SummationMethod`` to these three or to the
+conjugate phase path of ``phase``.  All of them serve as summation
+oracles, deliberately independent of the product closed forms they are
+checked against.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ import numpy as np
 
 from . import dd
 from .binom import binom_prefix, is_integer_exponent
-from .exceptions import DivergentSeriesError
+from .exceptions import DivergentSeriesError, DomainError
+from .phase import binomial_phase_power
 
 _TWO_PI = 2.0 * math.pi
 
@@ -53,10 +56,23 @@ class SeriesKind(str, enum.Enum):
 
 
 class SummationMethod(str, enum.Enum):
+    """How a value is computed; ``.value`` is the name reports and the CLI print."""
+
     PARTIAL = "partial"
     CESARO = "cesaro"
     ABEL = "abel"
+    PHASE = "phase"
     CLOSED = "closed"
+    REDUCED = "reduced"
+
+
+#: The methods ``evaluate`` sums a series by, in CLI order.
+SUMMATION_METHODS = (
+    SummationMethod.PARTIAL,
+    SummationMethod.CESARO,
+    SummationMethod.ABEL,
+    SummationMethod.PHASE,
+)
 
 
 class ConvergenceClass(str, enum.Enum):
@@ -79,6 +95,8 @@ class SeriesSpec:
         object.__setattr__(self, "kind", SeriesKind(self.kind))
         object.__setattr__(self, "n", float(self.n))
         object.__setattr__(self, "phi", float(self.phi))
+        if not (math.isfinite(self.n) and math.isfinite(self.phi)):
+            raise DomainError(f"n and phi must be finite, got n={self.n} phi={self.phi}")
 
 
 @dataclass(frozen=True)
@@ -366,6 +384,31 @@ def abel_sum(spec: SeriesSpec, terms: int | None = None, radii=None) -> Summatio
         lo.append(fl)
     value, residual = _extrapolate_radial(radii, hi, lo)
     return SummationResult(value, SummationMethod.ABEL, max(counts), residual, conv)
+
+
+def evaluate(spec: SeriesSpec, method: SummationMethod, terms: int | None = None,
+             radii=None) -> SummationResult:
+    """Sum ``spec`` by one of the ``SUMMATION_METHODS``.
+
+    Partial and Cesaro sums default to PARTIAL_TERM_BUDGET terms; ``radii``
+    only reaches Abel summation.  The phase path reads the row off
+    ``(1 + p)**n`` and raises DomainError unless n is an integer in 0..64.
+    """
+    method = SummationMethod(method)
+    if method is SummationMethod.PARTIAL:
+        return partial_sum(spec, terms or PARTIAL_TERM_BUDGET)
+    if method is SummationMethod.CESARO:
+        return cesaro_sum(spec, terms or PARTIAL_TERM_BUDGET)
+    if method is SummationMethod.ABEL:
+        return abel_sum(spec, terms=terms, radii=radii)
+    if method is SummationMethod.PHASE:
+        try:
+            cos_sum, sin_sum = binomial_phase_power(spec.n, spec.phi)
+        except ValueError as exc:
+            raise DomainError(f"phase path needs integer n in 0..64: {exc}") from exc
+        value = sin_sum if spec.kind is SeriesKind.SINE else cos_sum
+        return SummationResult(value, method, int(spec.n) + 1, 0.0, classify(spec))
+    raise ValueError(f"{method.value!r} is not a summation method")
 
 
 # ----------------------------------------------------------------------

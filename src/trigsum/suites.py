@@ -26,15 +26,14 @@ from .closed_forms import (
     special_value_catalog,
 )
 from .exceptions import DivergentSeriesError, DomainError
-from .phase import binomial_phase_power, series_at_phase
+from .phase import series_at_phase
 from .series import (
     PARTIAL_TERM_BUDGET,
     SeriesKind,
     SeriesSpec,
-    abel_sum,
+    SummationMethod,
     abel_sum_grid,
-    cesaro_sum,
-    partial_sum,
+    evaluate,
 )
 
 #: Radial schedule for the negative-integer sweep.  The closed forms grow
@@ -58,15 +57,6 @@ SUITE_NAMES = (
 _BATCH_MIN = 2
 
 
-class CaseMethod(str, enum.Enum):
-    PARTIAL = "partial"
-    CESARO = "cesaro"
-    ABEL = "abel"
-    PHASE = "phase"
-    CLOSED = "closed"
-    REDUCED = "reduced"
-
-
 class ExpectedSource(str, enum.Enum):
     CLOSED_FORM = "closed_form"
     CATALOG = "catalog"
@@ -77,7 +67,7 @@ class ExpectedSource(str, enum.Enum):
 @dataclass(frozen=True)
 class SuiteCase:
     spec: SeriesSpec
-    method: CaseMethod
+    method: SummationMethod
     expected_source: ExpectedSource
     tolerance: float
     note: str = ""
@@ -149,7 +139,7 @@ def _build_finite_integer(step: float | None) -> list[SuiteCase]:
             for d in _grid_deg(-179.0, 179.0, step):
                 cases.append(SuiteCase(
                     spec=SeriesSpec(kind, float(n), math.radians(d)),
-                    method=CaseMethod.PARTIAL,
+                    method=SummationMethod.PARTIAL,
                     expected_source=ExpectedSource.CLOSED_FORM,
                     tolerance=1e-10,
                     terms=n + 1,
@@ -165,13 +155,13 @@ def _build_quarter_turn(step: float | None) -> list[SuiteCase]:
     for n, lit in _QUARTER_TURN_LITERALS.items():
         spec = SeriesSpec(SeriesKind.COSINE, float(n), 0.5 * math.pi)
         cases.append(SuiteCase(
-            spec=spec, method=CaseMethod.PARTIAL,
+            spec=spec, method=SummationMethod.PARTIAL,
             expected_source=ExpectedSource.LITERAL, tolerance=1e-12,
             terms=n + 1, expected_literal=lit,
             note="alternating even-index row sum",
         ))
         cases.append(SuiteCase(
-            spec=spec, method=CaseMethod.CLOSED,
+            spec=spec, method=SummationMethod.CLOSED,
             expected_source=ExpectedSource.LITERAL, tolerance=1e-15,
             expected_literal=lit, closed_form=ClosedFormId.QUARTER_TURN,
             note="quarter-turn closed value",
@@ -187,7 +177,7 @@ def _build_negative_integer(step: float | None) -> list[SuiteCase]:
         for d in grid:
             cases.append(SuiteCase(
                 spec=SeriesSpec(SeriesKind.COSINE, float(-m), math.radians(d)),
-                method=CaseMethod.ABEL,
+                method=SummationMethod.ABEL,
                 expected_source=ExpectedSource.CLOSED_FORM,
                 tolerance=1e-6,
                 radii=NEGATIVE_SUITE_RADII,
@@ -196,7 +186,7 @@ def _build_negative_integer(step: float | None) -> list[SuiteCase]:
         for d in grid:
             cases.append(SuiteCase(
                 spec=SeriesSpec(SeriesKind.COSINE, float(-m), math.radians(d)),
-                method=CaseMethod.REDUCED,
+                method=SummationMethod.REDUCED,
                 expected_source=ExpectedSource.CLOSED_FORM,
                 tolerance=1e-12,
                 reduced_m=m,
@@ -209,20 +199,20 @@ def _build_half_integer(step: float | None) -> list[SuiteCase]:
     for entry in special_value_catalog():
         if entry.divergent:
             cases.append(SuiteCase(
-                spec=entry.spec, method=CaseMethod.ABEL,
+                spec=entry.spec, method=SummationMethod.ABEL,
                 expected_source=ExpectedSource.CATALOG, tolerance=1e-6,
                 expect_divergent=True,
             ))
         elif entry.spec.n > 0 and entry.spec.phi == math.pi:
             # boundary of conditional convergence: plain truncation only
             cases.append(SuiteCase(
-                spec=entry.spec, method=CaseMethod.PARTIAL,
+                spec=entry.spec, method=SummationMethod.PARTIAL,
                 expected_source=ExpectedSource.CATALOG, tolerance=1e-3,
                 terms=PARTIAL_TERM_BUDGET,
             ))
         else:
             cases.append(SuiteCase(
-                spec=entry.spec, method=CaseMethod.ABEL,
+                spec=entry.spec, method=SummationMethod.ABEL,
                 expected_source=ExpectedSource.CATALOG, tolerance=1e-6,
             ))
     return cases
@@ -237,12 +227,12 @@ def _build_lambda(step: float | None) -> list[SuiteCase]:
         spec = SeriesSpec(SeriesKind.COSINE, float(-lam), 0.5 * math.pi)
         lit = _LAMBDA_LITERALS[lam - 1]
         cases.append(SuiteCase(
-            spec=spec, method=CaseMethod.ABEL,
+            spec=spec, method=SummationMethod.ABEL,
             expected_source=ExpectedSource.LITERAL, tolerance=1e-6,
             expected_literal=lit, note="quarter-turn family value",
         ))
         cases.append(SuiteCase(
-            spec=spec, method=CaseMethod.CLOSED,
+            spec=spec, method=SummationMethod.CLOSED,
             expected_source=ExpectedSource.LITERAL, tolerance=1e-14,
             expected_literal=lit, closed_form=ClosedFormId.LAMBDA_SERIES,
             note="quarter-turn family value",
@@ -260,11 +250,11 @@ def _build_phase_equivalence(step: float | None) -> list[SuiteCase]:
             for d in grid:
                 spec = SeriesSpec(kind, float(n), math.radians(d))
                 cases.append(SuiteCase(
-                    spec=spec, method=CaseMethod.PHASE,
+                    spec=spec, method=SummationMethod.PHASE,
                     expected_source=ExpectedSource.PHASE_SERIES, tolerance=tol,
                 ))
                 cases.append(SuiteCase(
-                    spec=spec, method=CaseMethod.PHASE,
+                    spec=spec, method=SummationMethod.PHASE,
                     expected_source=ExpectedSource.CLOSED_FORM, tolerance=tol,
                 ))
     return cases
@@ -315,24 +305,15 @@ def _expected_value(case: SuiteCase) -> float:
 
 def _computed_value(case: SuiteCase) -> float:
     spec = case.spec
-    method = case.method
-    if method is CaseMethod.PARTIAL:
-        return partial_sum(spec, case.terms or PARTIAL_TERM_BUDGET).value
-    if method is CaseMethod.CESARO:
-        return cesaro_sum(spec, case.terms or 2000).value
-    if method is CaseMethod.ABEL:
-        return abel_sum(spec, terms=case.terms, radii=case.radii).value
-    if method is CaseMethod.PHASE:
-        cos_sum, sin_sum = binomial_phase_power(int(spec.n), spec.phi)
-        return sin_sum if spec.kind is SeriesKind.SINE else cos_sum
-    if method is CaseMethod.REDUCED:
+    if case.method is SummationMethod.REDUCED:
         return reduced_neg_int(case.reduced_m, spec.phi).value
-    # CLOSED
-    if case.closed_form is ClosedFormId.QUARTER_TURN:
-        return quarter_turn_sum(spec.n).value
-    if case.closed_form is ClosedFormId.LAMBDA_SERIES:
-        return lambda_series_closed(-spec.n).value
-    return evaluate_closed(spec.kind, spec.n, spec.phi).value
+    if case.method is SummationMethod.CLOSED:
+        if case.closed_form is ClosedFormId.QUARTER_TURN:
+            return quarter_turn_sum(spec.n).value
+        if case.closed_form is ClosedFormId.LAMBDA_SERIES:
+            return lambda_series_closed(-spec.n).value
+        return evaluate_closed(spec.kind, spec.n, spec.phi).value
+    return evaluate(spec, case.method, case.terms, case.radii).value
 
 
 def _judge(case: SuiteCase, computed: float, expected: float) -> CaseResult:
@@ -345,7 +326,7 @@ def _abel_batch_groups(cases: list[SuiteCase]):
     """Indices of auto-budget Abel cases grouped by (kind, n, radii)."""
     groups: dict[tuple, list[int]] = {}
     for i, case in enumerate(cases):
-        if (case.method is CaseMethod.ABEL and not case.expect_divergent
+        if (case.method is SummationMethod.ABEL and not case.expect_divergent
                 and case.terms is None):
             key = (case.spec.kind, case.spec.n, case.radii)
             groups.setdefault(key, []).append(i)
@@ -379,7 +360,7 @@ def run_cases(cases: list[SuiteCase], tolerance_override: float | None = None) -
     for i, case in enumerate(cases):
         if case.expect_divergent:
             try:
-                value = abel_sum(case.spec, terms=case.terms, radii=case.radii).value
+                value = evaluate(case.spec, case.method, case.terms, case.radii).value
                 results.append(CaseResult(case, value, math.nan, math.nan, False))
             except DivergentSeriesError:
                 results.append(CaseResult(case, math.nan, math.nan, math.nan, True))

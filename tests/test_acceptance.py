@@ -27,7 +27,7 @@ from trigsum import (
     sin_closed,
     special_value_catalog,
 )
-from trigsum.suites import CaseMethod
+from trigsum.series import SummationMethod
 
 _T0 = time.perf_counter()
 
@@ -72,9 +72,9 @@ def test_criterion_2_quarter_turn_exact_integers():
 def test_criterion_3_negative_integer_sweep():
     report = run_suite("negative_integer")
     abel_failed = sum(1 for r in report.results
-                      if not r.passed and r.case.method is CaseMethod.ABEL)
+                      if not r.passed and r.case.method is SummationMethod.ABEL)
     reduced_failed = sum(1 for r in report.results
-                         if not r.passed and r.case.method is CaseMethod.REDUCED)
+                         if not r.passed and r.case.method is SummationMethod.REDUCED)
     ok = report.failed == 0
     _line(3, "Abel sums at 1e-6 and reduced forms at 1e-12 across the 2 degree grid", ok)
     assert ok, (f"abel failures: {abel_failed}, reduced failures: {reduced_failed} "

@@ -73,6 +73,14 @@ def test_sum_phase_requires_integer(capsys):
     assert "domain" in err
 
 
+@pytest.mark.parametrize("n", ["nan", "inf"])
+def test_sum_non_finite_exponent_is_domain_error(capsys, n):
+    code, _, err = run(capsys, "sum", "--kind", "cos", "--n", n,
+                       "--phi", "90deg")
+    assert code == 2
+    assert "domain" in err
+
+
 def test_sum_bad_angle_is_usage_error(capsys):
     code, _, err = run(capsys, "sum", "--kind", "cos", "--n", "1",
                        "--phi", "90furlongs")

@@ -3,13 +3,11 @@ import math
 import pytest
 
 from trigsum import (
-    ComplexValue,
     binom_prefix,
     binomial_phase_power,
     cos_closed,
     half_angle_point,
-    make_phase_pair,
-    pow_int,
+    phase_point,
     series_at_phase,
     sin_closed,
 )
@@ -18,26 +16,21 @@ GRID = [math.radians(d) for d in range(-179, 180, 3)]
 
 
 def test_phase_pair_axis_cases():
-    pair = make_phase_pair(0.0)
-    assert (pair.p.re, pair.p.im) == (1.0, 0.0)
-    assert pair.q == pair.p.conj()
-    pair = make_phase_pair(0.5 * math.pi)
-    assert pair.p.im == 1.0
-    assert abs(pair.p.re) < 1e-16
+    p = phase_point(0.0)
+    assert (p.real, p.imag) == (1.0, 0.0)
+    assert p.conjugate() == complex(1.0, -0.0)
+    p = phase_point(0.5 * math.pi)
+    assert p.imag == 1.0
+    assert abs(p.real) < 1e-16
 
 
 def test_phase_pair_product_is_unity():
     for phi in (math.pi / 3.0, 1.0, -2.4):
-        pair = make_phase_pair(phi)
-        prod = pair.p * pair.q
-        assert abs(prod.re - 1.0) <= 1e-15
-        assert prod.im == 0.0
-        assert abs(pair.p.abs2() - 1.0) <= 1e-15
-
-
-def test_conjugation_is_involutive():
-    z = ComplexValue(0.3, -1.7)
-    assert z.conj().conj() == z
+        p = phase_point(phi)
+        prod = p * p.conjugate()
+        assert abs(prod.real - 1.0) <= 1e-15
+        assert prod.imag == 0.0
+        assert abs(p.real * p.real + p.imag * p.imag - 1.0) <= 1e-15
 
 
 def test_series_at_phase_constant():
@@ -91,19 +84,19 @@ def test_binomial_phase_power_preconditions():
 def test_conjugate_reality_of_horner_path():
     # for real coefficients, evaluating at q mirrors evaluating at p
     def horner(coeffs, z):
-        acc = ComplexValue(coeffs[-1], 0.0)
+        acc = complex(coeffs[-1])
         for c in reversed(coeffs[:-1]):
-            acc = acc * z + ComplexValue(c, 0.0)
+            acc = acc * z + c
         return acc
 
     coeffs = binom_prefix(9, 10)
     scale = sum(abs(c) for c in coeffs)
     for phi in GRID:
-        pair = make_phase_pair(phi)
-        dp = horner(coeffs, pair.p)
-        dq = horner(coeffs, pair.q)
-        diff = dq - dp.conj()
-        assert math.hypot(diff.re, diff.im) <= 1e-13 * scale
+        p = phase_point(phi)
+        dp = horner(coeffs, p)
+        dq = horner(coeffs, p.conjugate())
+        diff = dq - dp.conjugate()
+        assert math.hypot(diff.real, diff.imag) <= 1e-13 * scale
         cos_sum, sin_sum = series_at_phase(coeffs, phi)
         assert math.isfinite(cos_sum) and math.isfinite(sin_sum)
 
@@ -111,12 +104,11 @@ def test_conjugate_reality_of_horner_path():
 def test_half_angle_factorisation():
     # 1 + p = (sqrt(p) + sqrt(q)) sqrt(p) on the principal branch
     for phi in GRID:
-        pair = make_phase_pair(phi)
         root = half_angle_point(phi)
-        lhs = ComplexValue(1.0 + pair.p.re, pair.p.im)
-        rhs = (root + root.conj()) * root
-        assert abs(lhs.re - rhs.re) <= 1e-13
-        assert abs(lhs.im - rhs.im) <= 1e-13
+        lhs = 1.0 + phase_point(phi)
+        rhs = (root + root.conjugate()) * root
+        assert abs(lhs.real - rhs.real) <= 1e-13
+        assert abs(lhs.imag - rhs.imag) <= 1e-13
 
 
 def test_moment_identity_half_integer_powers():
@@ -126,9 +118,9 @@ def test_moment_identity_half_integer_powers():
         root = half_angle_point(phi)
         for twice_alpha in range(1, 17):
             alpha = 0.5 * twice_alpha
-            za = pow_int(root, twice_alpha)
-            assert abs(2.0 * za.re - 2.0 * math.cos(alpha * phi)) <= 1e-12
-            assert abs(2.0 * za.im - 2.0 * math.sin(alpha * phi)) <= 1e-12
+            za = root ** twice_alpha
+            assert abs(2.0 * za.real - 2.0 * math.cos(alpha * phi)) <= 1e-12
+            assert abs(2.0 * za.imag - 2.0 * math.sin(alpha * phi)) <= 1e-12
 
 
 def test_path_agreement_with_row_polynomial():

@@ -6,14 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from trigsum import (
     DEFAULT_ABEL_RADII,
+    PARTIAL_TERM_BUDGET,
     ConvergenceClass,
     DivergentSeriesError,
+    DomainError,
     SeriesKind,
     SeriesSpec,
+    SummationMethod,
     abel_sum,
     abel_terms_needed,
+    binomial_phase_power,
     cesaro_sum,
     classify,
+    evaluate,
     partial_sum,
     trig_values,
 )
@@ -45,6 +50,12 @@ SIN = SeriesKind.SINE
 ])
 def test_classify_table(spec, expected):
     assert classify(spec) is expected
+
+
+@pytest.mark.parametrize("phi", [math.nan, -math.inf])
+def test_partial_sum_at_non_finite_angle_is_a_domain_error(phi):
+    with pytest.raises(DomainError):
+        partial_sum(SeriesSpec(COS, 0.5, phi), 10)
 
 
 def test_classify_recognizes_shifted_half_turns():
@@ -239,3 +250,31 @@ def test_abel_grid_sine_is_odd():
     grid = abel_sum_grid(SIN, [-2.0], [-1.3, 1.3])
     values, _, _ = grid[-2.0]
     assert values[0] == -values[1]
+
+
+# ---------------------------------------------------------------- evaluate
+
+@pytest.mark.parametrize("method,spec,direct", [
+    (SummationMethod.PARTIAL, SeriesSpec(COS, -0.5, 1.0),
+     lambda spec: partial_sum(spec, PARTIAL_TERM_BUDGET)),
+    (SummationMethod.CESARO, SeriesSpec(COS, -1, 0.5 * math.pi),
+     lambda spec: cesaro_sum(spec, PARTIAL_TERM_BUDGET)),
+    (SummationMethod.ABEL, SeriesSpec(SIN, -1.5, 2.0), abel_sum),
+    (SummationMethod.PHASE, SeriesSpec(SIN, 7, 2.0),
+     lambda spec: binomial_phase_power(spec.n, spec.phi)[1]),
+])
+def test_evaluate_matches_direct_function(method, spec, direct):
+    res = evaluate(spec, method)
+    expected = direct(spec)
+    assert res.method is method
+    assert res.convergence is classify(spec)
+    if method is SummationMethod.PHASE:
+        assert (res.value, res.terms_used, res.residual_estimate) == (expected, 8, 0.0)
+    else:
+        assert res == expected
+
+
+@pytest.mark.parametrize("n", [0.5, 65])
+def test_evaluate_phase_outside_its_domain(n):
+    with pytest.raises(DomainError):
+        evaluate(SeriesSpec(COS, n, 1.0), SummationMethod.PHASE)

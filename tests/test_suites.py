@@ -3,11 +3,11 @@ import math
 import pytest
 
 from trigsum import (
-    CaseMethod,
     ExpectedSource,
     SeriesKind,
     SuiteCase,
     SeriesSpec,
+    SummationMethod,
     build_suite,
     report_lines,
     run_suite,
@@ -19,10 +19,10 @@ from trigsum.suites import run_cases
 def test_suite_case_validation():
     spec = SeriesSpec(SeriesKind.COSINE, 1.0, 0.5)
     with pytest.raises(ValueError):
-        SuiteCase(spec, CaseMethod.PARTIAL, ExpectedSource.LITERAL,
+        SuiteCase(spec, SummationMethod.PARTIAL, ExpectedSource.LITERAL,
                   tolerance=1e-6, expected_literal=1.0)  # literal needs a note
     with pytest.raises(ValueError):
-        SuiteCase(spec, CaseMethod.PARTIAL, ExpectedSource.CLOSED_FORM,
+        SuiteCase(spec, SummationMethod.PARTIAL, ExpectedSource.CLOSED_FORM,
                   tolerance=-1.0)
 
 
@@ -59,7 +59,7 @@ def test_half_integer_suite_known_boundary_shortfall():
     assert report.failed == 1
     failing = [r for r in report.results if not r.passed]
     case = failing[0].case
-    assert case.method is CaseMethod.PARTIAL
+    assert case.method is SummationMethod.PARTIAL
     assert case.spec.n == 0.5 and case.spec.phi == math.pi
     assert failing[0].computed == pytest.approx(1.784e-3, rel=1e-3)
     # divergence at the mirrored exponent is flagged, not evaluated
@@ -101,7 +101,7 @@ def test_report_file_format(tmp_path):
 def test_batched_and_scalar_abel_agree():
     # same cases, batched in one run and scalar in the other
     cases = build_suite("lambda")
-    abel_cases = [c for c in cases if c.method is CaseMethod.ABEL]
+    abel_cases = [c for c in cases if c.method is SummationMethod.ABEL]
     batched = run_cases(abel_cases)
     scalar = [run_cases([c])[0] for c in abel_cases]
     for rb, rs in zip(batched, scalar):
