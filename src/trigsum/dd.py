@@ -62,9 +62,3 @@ def div(xh, xl, yh, yl):
     q1 = (rh + rl) / yh
     return renorm(q0, q1)
 
-
-def from_int(value: int):
-    """Exact double-double image of an integer with |value| < 2**106."""
-    hi = float(value)
-    lo = float(value - int(hi))
-    return hi, lo

@@ -49,6 +49,15 @@ DIVERGENCE_THRESHOLD = 1e12
 # any tolerance the extrapolation can deliver.
 _ABEL_CUT_LOG = math.log(1e-22)
 
+# Largest automatic Abel term budget before a radius counts as too close to 1.
+_MAX_ABEL_TERMS = 5_000_000
+
+# Most elements in one block of the Abel engine's trig table, coefficient
+# scan or term products, or in one chunk of a term budget.  Larger blocks
+# cost memory and, past about 2**13 elements, run the double-double
+# kernels slower per element.
+_BLOCK_ELEMS = 2 ** 12
+
 
 class SeriesKind(str, enum.Enum):
     COSINE = "cos"
@@ -233,94 +242,61 @@ def abel_terms_needed(radii) -> int:
 
 
 def _abel_term_count(n: float, r: float) -> int:
-    """Truncation making |gen_binom(n, k) * r**k| fall below the tail cutoff."""
+    """Truncation making |gen_binom(n, k) * r**k| fall below the tail cutoff.
+
+    log|gen_binom(n, k)| is a running sum of log|n - j| - log(j + 1), taken
+    by np.cumsum over chunks of _BLOCK_ELEMS indices; cumsum adds in index
+    order, so it is the same running sum a loop over k forms.
+    """
     logr = math.log(r)
     kmin = abel_terms_needed((r,))
     nf = float(n)
-    lc = 0.0  # log |gen_binom(n, k)|
-    k = 0
-    while True:
-        a = nf - k
-        k += 1
-        if a == 0.0:
-            return k  # terminating series
-        lc += math.log(abs(a)) - math.log(k)
-        if k >= kmin and lc + k * logr < _ABEL_CUT_LOG:
-            return k + 1
-        if k > 5_000_000:
-            raise ValueError(f"radius {r!r} too close to 1 for a feasible term budget")
-
-
-def _dd_from_mpf(x) -> tuple[float, float]:
-    hi = float(x)
-    lo = float(x - mp.mpf(hi))
-    return hi, lo
-
-
-def _dd_phase_seed(phi: float) -> tuple[float, float, float, float]:
-    with mp.workdps(40):
-        p = mp.mpf(phi)
-        ch, cl = _dd_from_mpf(mp.cos(p))
-        sh, sl = _dd_from_mpf(mp.sin(p))
-    return ch, cl, sh, sl
+    # a nonnegative integer exponent terminates: gen_binom(n, n + 1) == 0
+    last = _MAX_ABEL_TERMS
+    if is_integer_exponent(nf) and nf >= 0:
+        last = min(int(nf), last)
+    lc = 0.0  # log |gen_binom(n, start - 1)|
+    start = 1
+    while start <= last:
+        k = np.arange(start, min(start + _BLOCK_ELEMS, last + 1), dtype=float)
+        steps = np.log(np.abs(nf - (k - 1.0))) - np.log(k)
+        steps[0] += lc
+        logc = np.cumsum(steps)
+        (hit,) = np.nonzero((k >= kmin) & (logc + k * logr < _ABEL_CUT_LOG))
+        if hit.size:
+            return int(k[hit[0]]) + 1
+        lc = float(logc[-1])
+        start += k.size
+    if last < _MAX_ABEL_TERMS:
+        return last + 1  # terminating series
+    raise ValueError(f"radius {r!r} too close to 1 for a feasible term budget")
 
 
 def _abel_point_f64(kind: SeriesKind, n: float, phi: float, r: float, count: int) -> float:
-    """One radial sample in plain doubles with Neumaier compensation."""
-    cphi, sphi = math.cos(phi), math.sin(phi)
-    x, y = 1.0, 0.0
-    co = 1.0
-    rk = 1.0
-    acc = 0.0
-    comp = 0.0
-    want_cos = kind is SeriesKind.COSINE
-    for k in range(count):
-        t = co * rk * (x if want_cos else y)
-        s = acc + t
-        if abs(acc) >= abs(t):
-            comp += (acc - s) + t
-        else:
-            comp += (t - s) + acc
-        acc = s
-        x, y = x * cphi - y * sphi, y * cphi + x * sphi
-        co *= (n - k) / (k + 1)
-        rk *= r
-    return acc + comp
+    """One radial sample in plain doubles, summed exactly rounded by math.fsum.
+
+    The coefficients, the powers r**k and the rotations (cos phi + i sin phi)**k
+    are np.cumprod scans of their step factors, which multiply in index
+    order and so give the same doubles as stepping each recurrence by hand.
+    """
+    k = np.arange(count - 1, dtype=float)
+    co = np.cumprod(np.concatenate(([1.0], (n - k) / (k + 1.0))))
+    rk = np.cumprod(np.concatenate(([1.0], np.full(count - 1, r))))
+    z = complex(math.cos(phi), math.sin(phi))
+    rot = np.cumprod(np.concatenate(([1.0 + 0.0j], np.full(count - 1, z))))
+    trig = rot.imag if kind is SeriesKind.SINE else rot.real
+    return math.fsum((co * rk * trig).tolist())
 
 
-def _abel_point_dd(kind: SeriesKind, n: float, phi: float, r: float, count: int) -> tuple[float, float]:
-    """One radial sample in double-double arithmetic (streaming)."""
-    ch, cl, sh, sl = _dd_phase_seed(phi)
-    xh, xl, yh, yl = 1.0, 0.0, 0.0, 0.0
-    rh, rl = 1.0, 0.0
-    ah, al = 0.0, 0.0
-    want_cos = kind is SeriesKind.COSINE
-    integer_n = is_integer_exponent(n)
-    ci = 1  # exact integer coefficient when integer_n
-    coh, col = 1.0, 0.0
-    for k in range(count):
-        if integer_n:
-            coh, col = dd.from_int(ci)
-        wh, wl = dd.mul(coh, col, rh, rl)
-        if want_cos:
-            th, tl = dd.mul(wh, wl, xh, xl)
-        else:
-            th, tl = dd.mul(wh, wl, yh, yl)
-        ah, al = dd.add(ah, al, th, tl)
-        # advance rotation, coefficient, power
-        t1h, t1l = dd.mul(xh, xl, ch, cl)
-        t2h, t2l = dd.mul(yh, yl, sh, sl)
-        nyh, nyl = dd.add(*dd.mul(yh, yl, ch, cl), *dd.mul(xh, xl, sh, sl))
-        xh, xl = dd.add(t1h, t1l, -t2h, -t2l)
-        yh, yl = nyh, nyl
-        if integer_n:
-            ci = ci * (int(n) - k) // (k + 1)
-        else:
-            fh, fl = dd.add(n, 0.0, -float(k), 0.0)
-            coh, col = dd.mul(coh, col, fh, fl)
-            coh, col = dd.div(coh, col, float(k + 1), 0.0)
-        rh, rl = dd.mul(rh, rl, r, 0.0)
-    return ah, al
+def _abel_point_dd(kind: SeriesKind, n: float, phi: float, radii, counts):
+    """Radial samples at one angle in double-double: (hi, lo) arrays, one entry per radius.
+
+    The grid engine on a one-angle grid: the trig and coefficient tables
+    are built once and shared by every radius.
+    """
+    Th, Tl = _dd_trig_table(np.array([phi]), max(counts), kind is SeriesKind.SINE)
+    hi, lo = _dd_radial_samples(_dd_coeff_arrays(n, max(counts)), radii, counts, Th, Tl)
+    return hi[:, 0], lo[:, 0]
 
 
 def _extrapolate_radial(radii, f_hi, f_lo) -> tuple[float, float]:
@@ -368,20 +344,20 @@ def abel_sum(spec: SeriesSpec, terms: int | None = None, radii=None) -> Summatio
         if max(radii) ** terms >= 1e-16:
             raise ValueError("terms too small: need r**terms < 1e-16 at the largest radius")
         counts = [terms] * len(radii)
-    else:
+    if conv is ConvergenceClass.FINITE:
+        # a terminating row is its own Abel value: its sum at r = 1
+        row = partial_sum(spec, int(spec.n) + 1)
+        return SummationResult(row.value, SummationMethod.ABEL, row.terms_used, 0.0, conv)
+    if terms is None:
         counts = [_abel_term_count(spec.n, r) for r in radii]
-    use_dd = spec.n <= -2.0
-    hi: list[float] = []
-    lo: list[float] = []
-    for r, count in zip(radii, counts):
-        if use_dd:
-            fh, fl = _abel_point_dd(spec.kind, spec.n, spec.phi, r, count)
-        else:
-            fh, fl = _abel_point_f64(spec.kind, spec.n, spec.phi, r, count), 0.0
-        if abs(fh) > DIVERGENCE_THRESHOLD:
-            raise DivergentSeriesError("radial samples grow without bound")
-        hi.append(fh)
-        lo.append(fl)
+    if spec.n <= -2.0:
+        hi, lo = _abel_point_dd(spec.kind, spec.n, spec.phi, radii, counts)
+    else:
+        hi = [_abel_point_f64(spec.kind, spec.n, spec.phi, r, count)
+              for r, count in zip(radii, counts)]
+        lo = [0.0] * len(radii)
+    if max(abs(h) for h in hi) > DIVERGENCE_THRESHOLD:
+        raise DivergentSeriesError("radial samples grow without bound")
     value, residual = _extrapolate_radial(radii, hi, lo)
     return SummationResult(value, SummationMethod.ABEL, max(counts), residual, conv)
 
@@ -412,65 +388,102 @@ def evaluate(spec: SeriesSpec, method: SummationMethod, terms: int | None = None
 
 
 # ----------------------------------------------------------------------
-# Batched Abel evaluation over an angle grid (suite back end)
+# Double-double Abel engine: one angle (abel_sum) or an angle grid (suites)
 # ----------------------------------------------------------------------
 
+def _dd_rotate(xh, xl, yh, yl, ch, cl, sh, sl):
+    """(x + iy) * (c + is) with each part a double-double pair."""
+    t1h, t1l = dd.mul(xh, xl, ch, cl)
+    t2h, t2l = dd.mul(yh, yl, sh, sl)
+    nyh, nyl = dd.add(*dd.mul(yh, yl, ch, cl), *dd.mul(xh, xl, sh, sl))
+    nxh, nxl = dd.add(t1h, t1l, -t2h, -t2l)
+    return nxh, nxl, nyh, nyl
+
+
+def _dd_unit_power(phis, k: int):
+    """cos(k*phi) and sin(k*phi) per angle as double-double (hi, lo, hi, lo) arrays.
+
+    Taken from 40-digit mpmath values, where k*phi is exact, and rounded
+    once to double-double.
+    """
+    out = np.empty((4, len(phis)))
+    with mp.workdps(40):
+        for i, phi in enumerate(phis):
+            for j, v in enumerate(mp.cos_sin(mp.mpf(phi) * k)):
+                out[2 * j, i] = hi = float(v)
+                out[2 * j + 1, i] = float(v - mp.mpf(hi))
+    return tuple(out)
+
+
 def _dd_trig_table(phis: np.ndarray, count: int, want_sine: bool):
-    """cos(k*phi) (and optionally sin) for k < count, double-double, per angle."""
-    seeds = [_dd_phase_seed(p) for p in phis.tolist()]
-    ch = np.array([s[0] for s in seeds])
-    cl = np.array([s[1] for s in seeds])
-    sh = np.array([s[2] for s in seeds])
-    sl = np.array([s[3] for s in seeds])
+    """cos(k*phi), or sin(k*phi) when ``want_sine``, for k < count, double-double, per angle.
+
+    z**k for z = exp(i*phi) is built by doubling, z**[L, 2L) = z**[0, L) * z**L,
+    over a block of B rows, B the largest power of two that keeps a block
+    within _BLOCK_ELEMS elements; each further block is the previous one
+    times z**B.  Every z**L is read from mpmath, so errors add up only
+    along the log2(B) doublings and the count/B block steps.  Only the
+    requested part is stored.
+    """
+    phis = phis.tolist()
     m = len(phis)
-    Ch = np.empty((count, m))
-    Cl = np.empty((count, m))
-    Sh = np.empty((count, m)) if want_sine else None
-    Sl = np.empty((count, m)) if want_sine else None
-    xh = np.ones(m)
-    xl = np.zeros(m)
-    yh = np.zeros(m)
-    yl = np.zeros(m)
-    for k in range(count):
-        Ch[k] = xh
-        Cl[k] = xl
-        if want_sine:
-            Sh[k] = yh
-            Sl[k] = yl
-        t1h, t1l = dd.mul(xh, xl, ch, cl)
-        t2h, t2l = dd.mul(yh, yl, sh, sl)
-        nyh, nyl = dd.add(*dd.mul(yh, yl, ch, cl), *dd.mul(xh, xl, sh, sl))
-        xh, xl = dd.add(t1h, t1l, -t2h, -t2l)
-        yh, yl = nyh, nyl
-    return Ch, Cl, Sh, Sl
+    rows = 1
+    while rows < count and 2 * rows * m <= _BLOCK_ELEMS:
+        rows *= 2
+    block = tuple(np.zeros((rows, m)) for _ in range(4))
+    block[0][0] = 1.0
+    size = 1
+    while size < rows:
+        ext = _dd_rotate(*(a[:size] for a in block), *_dd_unit_power(phis, size))
+        for a, e in zip(block, ext):
+            a[size:2 * size] = e
+        size *= 2
+    zrows = _dd_unit_power(phis, rows)
+    part = slice(2, 4) if want_sine else slice(0, 2)
+    hi = np.empty((count, m))
+    lo = np.empty((count, m))
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        hi[start:stop], lo[start:stop] = (a[:stop - start] for a in block[part])
+        if stop < count:
+            block = _dd_rotate(*block, *zrows)
+    return hi, lo
 
 
 def _dd_coeff_arrays(n: float, count: int):
-    hi = np.empty(count)
-    lo = np.empty(count)
-    if is_integer_exponent(n):
-        ci = 1
-        ni = int(n)
-        for k in range(count):
-            hi[k], lo[k] = dd.from_int(ci)
-            ci = ci * (ni - k) // (k + 1)
-    else:
-        ch, cl = 1.0, 0.0
-        for k in range(count):
-            hi[k], lo[k] = ch, cl
-            fh, fl = dd.add(n, 0.0, -float(k), 0.0)
-            ch, cl = dd.mul(ch, cl, fh, fl)
-            ch, cl = dd.div(ch, cl, float(k + 1), 0.0)
+    """gen_binom(n, k) for k < count in double-double.
+
+    A prefix-product scan of f_k = (n - k) / (k + 1), with n - k an exact
+    double-double difference: within each block of _BLOCK_ELEMS factors
+    log2(block) passes multiply every element by the one ``shift`` places
+    back, and the block's products are then scaled by the coefficient the
+    block starts from.
+    """
+    hi = np.ones(count)
+    lo = np.zeros(count)
+    for start in range(0, count - 1, _BLOCK_ELEMS):
+        k = np.arange(start, min(start + _BLOCK_ELEMS, count - 1), dtype=float)
+        ph, pl = dd.div(*dd.add(n, 0.0, -k, 0.0), k + 1.0, 0.0)
+        shift = 1
+        while shift < k.size:
+            ph[shift:], pl[shift:] = dd.mul(ph[shift:], pl[shift:], ph[:-shift], pl[:-shift])
+            shift *= 2
+        block = slice(start + 1, start + 1 + k.size)
+        hi[block], lo[block] = dd.mul(ph, pl, hi[start], lo[start])
     return hi, lo
 
 
 def _dd_power_arrays(r: float, count: int):
-    hi = np.empty(count)
-    lo = np.empty(count)
-    ph, pl = 1.0, 0.0
-    for k in range(count):
-        hi[k], lo[k] = ph, pl
-        ph, pl = dd.mul(ph, pl, r, 0.0)
+    """r**k for k < count in double-double, by doubling: r**[L, 2L) = r**[0, L) * r**L."""
+    hi = np.ones(count)
+    lo = np.zeros(count)
+    ph, pl = r, 0.0
+    size = 1
+    while size < count:
+        step = min(size, count - size)
+        hi[size:size + step], lo[size:size + step] = dd.mul(hi[:step], lo[:step], ph, pl)
+        ph, pl = dd.mul(ph, pl, ph, pl)
+        size += step
     return hi, lo
 
 
@@ -483,6 +496,30 @@ def _dd_reduce_axis0(th: np.ndarray, tl: np.ndarray):
             sl = np.concatenate([sl, tl[-1:]], axis=0)
         th, tl = sh, sl
     return th[0], tl[0]
+
+
+def _dd_radial_samples(coeffs, radii, counts, Th, Tl):
+    """sum_k c_k r**k T[k] per radius, in double-double, shape (radii, angles).
+
+    ``coeffs`` is the (hi, lo) coefficient table, ``counts`` the truncation
+    per radius and ``Th``, ``Tl`` the trig table.  The term products and
+    their pairwise reduction run in row blocks of at most _BLOCK_ELEMS
+    elements, and the block sums are added in double-double.
+    """
+    co_h, co_l = coeffs
+    m = Th.shape[1]
+    rows = max(1, _BLOCK_ELEMS // m)
+    out_h = np.empty((len(counts), m))
+    out_l = np.empty((len(counts), m))
+    for j, (r, kr) in enumerate(zip(radii, counts)):
+        wh, wl = dd.mul(co_h[:kr], co_l[:kr], *_dd_power_arrays(r, kr))
+        acc_h, acc_l = np.zeros(m), np.zeros(m)
+        for start in range(0, kr, rows):
+            blk = slice(start, min(start + rows, kr))
+            th, tl = dd.mul(wh[blk, None], wl[blk, None], Th[blk], Tl[blk])
+            acc_h, acc_l = dd.add(acc_h, acc_l, *_dd_reduce_axis0(th, tl))
+        out_h[j], out_l[j] = acc_h, acc_l
+    return out_h, out_l
 
 
 def abel_sum_grid(kind: SeriesKind, ns, phis, radii=None) -> dict[float, tuple[np.ndarray, np.ndarray, int]]:
@@ -515,22 +552,12 @@ def abel_sum_grid(kind: SeriesKind, ns, phis, radii=None) -> dict[float, tuple[n
     aphi = np.abs(phis)
     uniq, inverse = np.unique(aphi, return_inverse=True)
     want_sine = kind is SeriesKind.SINE
-    Ch, Cl, Sh, Sl = _dd_trig_table(uniq, kmax, want_sine)
-    Th, Tl = (Sh, Sl) if want_sine else (Ch, Cl)
+    Th, Tl = _dd_trig_table(uniq, kmax, want_sine)
 
-    powers = {r: _dd_power_arrays(r, kmax) for r in radii}
     out: dict[float, tuple[np.ndarray, np.ndarray, int]] = {}
     for n in ns:
-        kn = max(counts[(n, r)] for r in radii)
-        co_h, co_l = _dd_coeff_arrays(n, kn)
-        sample_h = np.empty((len(radii), len(uniq)))
-        sample_l = np.empty((len(radii), len(uniq)))
-        for j, r in enumerate(radii):
-            kr = counts[(n, r)]
-            ph, pl = powers[r]
-            wh, wl = dd.mul(co_h[:kr], co_l[:kr], ph[:kr], pl[:kr])
-            th, tl = dd.mul(wh[:, None], wl[:, None], Th[:kr], Tl[:kr])
-            sample_h[j], sample_l[j] = _dd_reduce_axis0(th, tl)
+        kr = [counts[(n, r)] for r in radii]
+        sample_h, sample_l = _dd_radial_samples(_dd_coeff_arrays(n, max(kr)), radii, kr, Th, Tl)
         if np.abs(sample_h).max() > DIVERGENCE_THRESHOLD:
             raise DivergentSeriesError("radial samples grow without bound")
         values = np.empty(len(uniq))
@@ -541,5 +568,5 @@ def abel_sum_grid(kind: SeriesKind, ns, phis, radii=None) -> dict[float, tuple[n
         residuals = residuals[inverse]
         if want_sine:
             values = values * np.sign(phis)
-        out[n] = (values, residuals, kn)
+        out[n] = (values, residuals, max(kr))
     return out

@@ -1,0 +1,250 @@
+"""The Abel engine's double-double tables, term budgets and pinned values.
+
+The tables and budgets are numpy constructions (doubling, prefix scans,
+chunked cumsum); the references here are mpmath, exact integers and the
+plain loops the constructions replace.
+"""
+
+import math
+from fractions import Fraction
+
+import mpmath as mp
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from trigsum import DEFAULT_ABEL_RADII, SeriesKind, SeriesSpec, abel_sum, abel_terms_needed
+from trigsum.binom import gen_binom_exact
+from trigsum.series import (
+    _ABEL_CUT_LOG,
+    _abel_point_f64,
+    _abel_term_count,
+    _dd_coeff_arrays,
+    _dd_power_arrays,
+    _dd_trig_table,
+)
+
+#: Largest term budget of the negative_integer suite (n = -6, r = 0.996).
+SUITE_KMAX = 24030
+
+
+def _dd_value(hi, lo):
+    return mp.mpf(float(hi)) + mp.mpf(float(lo))
+
+
+# ---------------------------------------------------------------- tables
+
+def test_dd_trig_table_against_mpmath():
+    phis = [1e-3, 0.1, 1.0, 2.0, 3.0, math.pi - 1e-3]
+    # all angles at once steps blocks by z**B; one angle is pure doubling
+    grids = [np.array(phis)] + [np.array([phi]) for phi in phis]
+    worst = 0.0
+    with mp.workdps(50):
+        for grid in grids:
+            for want_sine, exact in ((False, mp.cos), (True, mp.sin)):
+                hi, lo = _dd_trig_table(grid, SUITE_KMAX, want_sine)
+                assert hi.shape == (SUITE_KMAX, len(grid))
+                for j, phi in enumerate(grid.tolist()):
+                    for k in range(0, SUITE_KMAX, 997):
+                        err = _dd_value(hi[k, j], lo[k, j]) - exact(k * mp.mpf(phi))
+                        worst = max(worst, abs(float(err)))
+    assert worst <= 7.3e-28
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_dd_coeff_arrays_match_exact_integers(m):
+    hi, lo = _dd_coeff_arrays(float(-m), SUITE_KMAX)
+    for k in range(SUITE_KMAX):
+        exact = gen_binom_exact(-m, k)
+        assert abs(Fraction(hi[k]) + Fraction(lo[k]) - exact) <= Fraction(1, 10**29) * abs(exact)
+
+
+@pytest.mark.parametrize("n", [-2.5, -2.3])  # n - k is inexact in doubles for -2.3
+def test_dd_coeff_arrays_fractional_exponent_against_mpmath(n):
+    hi, lo = _dd_coeff_arrays(n, SUITE_KMAX)
+    with mp.workdps(50):
+        for k in range(0, SUITE_KMAX, 7):
+            exact = mp.binomial(mp.mpf(n), k)
+            assert abs(_dd_value(hi[k], lo[k]) - exact) <= 1e-29 * abs(exact)
+
+
+def test_dd_coeff_arrays_terminate_on_nonnegative_integers():
+    hi, lo = _dd_coeff_arrays(3.0, 8)
+    assert hi.tolist() == [1.0, 3.0, 3.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+    assert not lo.any()
+
+
+@pytest.mark.parametrize("r", [0.9, 0.99, 0.996])
+def test_dd_power_arrays_against_mpmath(r):
+    hi, lo = _dd_power_arrays(r, SUITE_KMAX)
+    with mp.workdps(50):
+        for k in range(0, SUITE_KMAX, 101):
+            exact = mp.mpf(r) ** k
+            if exact > 1e-280:  # below that the double-double underflows
+                assert abs(_dd_value(hi[k], lo[k]) - exact) <= 1e-28 * exact
+
+
+def _f64_terms_by_loop(kind, n, phi, r, count):
+    """The terms of _abel_point_f64, stepping each recurrence one index at a time."""
+    cphi, sphi = math.cos(phi), math.sin(phi)
+    x, y, co, rk = 1.0, 0.0, 1.0, 1.0
+    terms = []
+    for k in range(count):
+        terms.append(co * rk * (y if kind is SeriesKind.SINE else x))
+        x, y = x * cphi - y * sphi, y * cphi + x * sphi
+        co *= (n - k) / (k + 1)
+        rk *= r
+    return terms
+
+
+@pytest.mark.parametrize("kind", list(SeriesKind))
+@pytest.mark.parametrize("n,phi", [(-1.9, 2.0), (-0.5, -1.2), (1.5, 0.3), (-1.0, 3.1)])
+def test_abel_point_f64_sums_the_loop_terms_exactly(kind, n, phi):
+    for r in (0.9, 0.99):
+        count = _abel_term_count(n, r)
+        assert _abel_point_f64(kind, n, phi, r, count) == math.fsum(
+            _f64_terms_by_loop(kind, n, phi, r, count))
+
+
+# ---------------------------------------------------------------- term budgets
+
+@pytest.mark.parametrize("n,terms", [(-1.5, 5482), (-3.0, 6727), (-6.0, 9101)])
+def test_abel_term_budget_at_default_radii(n, terms):
+    assert abel_sum(SeriesSpec("cos", n, 1.0)).terms_used == terms
+    assert max(_abel_term_count(n, r) for r in DEFAULT_ABEL_RADII) == terms
+
+
+def _meets_cutoff(n, r, k):
+    """Whether term k is past the budget's cutoff, from 30-digit logarithms."""
+    if k < abel_terms_needed((r,)):
+        return False
+    with mp.workdps(30):
+        return mp.log(abs(mp.binomial(mp.mpf(n), k))) + k * mp.log(mp.mpf(r)) < _ABEL_CUT_LOG
+
+
+def _term_count_by_loop(n, r):
+    """The budget by a running sum of logarithms, one index at a time."""
+    logr, kmin = math.log(r), abel_terms_needed((r,))
+    lc, k = 0.0, 0
+    while True:
+        a = n - k
+        k += 1
+        if a == 0.0:
+            return k
+        lc += math.log(abs(a)) - math.log(k)
+        if k >= kmin and lc + k * logr < _ABEL_CUT_LOG:
+            return k + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.floats(-8.0, 8.0).filter(lambda x: not x.is_integer()),
+       r=st.floats(0.5, 0.995))
+def test_abel_term_budget_is_the_first_index_past_the_cutoff(n, r):
+    budget = _abel_term_count(n, r)
+    assert isinstance(budget, int)
+    assert _meets_cutoff(n, r, budget - 1)
+    assert not _meets_cutoff(n, r, budget - 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.one_of(st.floats(-12.0, 12.0), st.integers(-12, 70).map(float)),
+       r=st.floats(0.3, 0.996))
+def test_abel_term_budget_matches_the_loop(n, r):
+    assert _abel_term_count(n, r) == _term_count_by_loop(n, r)
+
+
+def test_abel_term_budget_of_a_terminating_row():
+    assert _abel_term_count(3.0, 0.99) == 4
+    assert _abel_term_count(0.0, 0.5) == 1
+
+
+# ---------------------------------------------------------------- pinned values
+
+#: abel_sum(SeriesSpec(kind, n, radians(deg))).value.hex() before the
+#: engine was vectorized.
+GOLDEN = {
+    ("cos", -1.9, -115.0): "-0x1.2677d2b60fbddp-2",
+    ("cos", -1.9, -60.0): "0x1.88cd461035043p-3",
+    ("cos", -1.9, -7.5): "0x1.115dc34aab904p-2",
+    ("cos", -1.9, 33.0): "0x1.fb9d1211a19c9p-3",
+    ("cos", -1.9, 90.0): "0x1.4cb394dbe5386p-5",
+    ("cos", -1.9, 119.0): "-0x1.85b13e27aa8eap-2",
+    ("sin", -1.9, -115.0): "0x1.a59d0f1b58ec2p-1",
+    ("sin", -1.9, -60.0): "0x1.2e6e4fb1880d9p-2",
+    ("sin", -1.9, -7.5): "0x1.115d99c1b71d2p-5",
+    ("sin", -1.9, 33.0): "-0x1.353dae0387a6dp-3",
+    ("sin", -1.9, 90.0): "-0x1.0835f8d61221ep-1",
+    ("sin", -1.9, 119.0): "-0x1.c9ead90d9edfbp-1",
+    ("cos", -0.5, -115.0): "0x1.b105e3232ed4bp-1",
+    ("cos", -0.5, -60.0): "0x1.77c7a0a8906d8p-1",
+    ("cos", -0.5, -7.5): "0x1.6a3b9a5833273p-1",
+    ("cos", -0.5, 33.0): "0x1.6de7c2c27bca4p-1",
+    ("cos", -0.5, 90.0): "0x1.8dc42193d6c28p-1",
+    ("cos", -0.5, 119.0): "0x1.b9344b88b2833p-1",
+    ("sin", -0.5, -115.0): "0x1.db210cdc49845p-2",
+    ("sin", -0.5, -60.0): "0x1.92c273387a1cep-3",
+    ("sin", -0.5, -7.5): "0x1.7b76fcc89bbc0p-6",
+    ("sin", -0.5, 33.0): "-0x1.a86e124a10fbep-4",
+    ("sin", -0.5, 90.0): "-0x1.49852f9842560p-2",
+    ("sin", -0.5, 119.0): "-0x1.f85689c234ca3p-2",
+    ("cos", 1.5, -115.0): "0x1.2a6b93f1a27fdp-4",
+    ("cos", 1.5, -60.0): "0x1.9ca285c7abaa7p+0",
+    ("cos", 1.5, -7.5): "0x1.67238b6fb73abp+1",
+    ("cos", 1.5, 33.0): "0x1.34af372f74761p+1",
+    ("cos", 1.5, 90.0): "0x1.49852f983f0ffp-1",
+    ("cos", 1.5, 119.0): "0x1.b6a809bc1abddp-7",
+    ("sin", 1.5, -115.0): "-0x1.1c90347e6d1b9p+0",
+    ("sin", 1.5, -60.0): "-0x1.9ca285c7aba71p+0",
+    ("sin", 1.5, -7.5): "-0x1.1afa09c98550ep-2",
+    ("sin", 1.5, 33.0): "0x1.1c9c67191186ep+0",
+    ("sin", 1.5, 90.0): "0x1.8dc42193d5c49p+0",
+    ("sin", 1.5, 119.0): "0x1.05c9eec7f99fcp+0",
+    ("cos", -2.0, -115.0): "-0x1.76c2fd6d28706p-2",
+    ("cos", -2.0, -60.0): "0x1.555555553a6fep-3",
+    ("cos", -2.0, -7.5): "0x1.fdccebfd05832p-3",
+    ("cos", -2.0, 33.0): "0x1.d3136c71ddedap-3",
+    ("cos", -2.0, 90.0): "-0x1.9e6db5ecf0c50p-37",
+    ("cos", -2.0, 119.0): "-0x1.e1ceb03eb874fp-2",
+    ("sin", -2.0, -115.0): "0x1.91d6e9fc7774cp-1",
+    ("sin", -2.0, -60.0): "0x1.279a7458fd330p-2",
+    ("sin", -2.0, -7.5): "0x1.0c774d5415f9dp-5",
+    ("sin", -2.0, 33.0): "-0x1.2f529725f024dp-3",
+    ("sin", -2.0, 90.0): "-0x1.0000000025775p-1",
+    ("sin", -2.0, 119.0): "-0x1.b29a0cdb9a228p-1",
+    ("cos", -2.5, -115.0): "-0x1.58ed848052c94p-1",
+    ("cos", -2.5, -60.0): "0x1.0c81a22557d67p-4",
+    ("cos", -2.5, -7.5): "0x1.671f4a3e0189cp-3",
+    ("cos", -2.5, 33.0): "0x1.2e5e92666e26cp-3",
+    ("cos", -2.5, 90.0): "-0x1.49852f995e56fp-3",
+    ("cos", -2.5, 119.0): "-0x1.a5a46b2a9dcabp-1",
+    ("sin", -2.5, -115.0): "0x1.f9d2b3f8567e0p-2",
+    ("sin", -2.5, -60.0): "0x1.f50a2b8b4c553p-3",
+    ("sin", -2.5, -7.5): "0x1.da549f5b1de7fp-6",
+    ("sin", -2.5, 33.0): "-0x1.092bbdda7117cp-3",
+    ("sin", -2.5, 90.0): "-0x1.8dc421943493ap-2",
+    ("sin", -2.5, 119.0): "-0x1.ffb7b54841924p-2",
+    ("cos", -6.0, -115.0): "0x1.412b743aa0dc2p-1",
+    ("cos", -6.0, -60.0): "-0x1.2f684bd5cc778p-5",
+    ("cos", -6.0, -7.5): "0x1.df2619f500f92p-7",
+    ("cos", -6.0, 33.0): "-0x1.9c536d9d60c50p-9",
+    ("cos", -6.0, 90.0): "0x1.3036cecd5d28fp-32",
+    ("cos", -6.0, 119.0): "0x1.d36451289449dp-1",
+    ("sin", -6.0, -115.0): "-0x1.583a8e0e74712p-3",
+    ("sin", -6.0, -60.0): "-0x1.b62323d4dfa03p-36",
+    ("sin", -6.0, -7.5): "0x1.8cf09ca6dd82dp-8",
+    ("sin", -6.0, 33.0): "-0x1.456a57e3b23c2p-6",
+    ("sin", -6.0, 90.0): "0x1.000000107c54cp-3",
+    ("sin", -6.0, 119.0): "0x1.87eb7affbf5c2p-5",
+}
+
+
+@pytest.mark.parametrize("kind,n,deg", list(GOLDEN))
+def test_abel_sum_golden_values(kind, n, deg):
+    value = abel_sum(SeriesSpec(kind, n, math.radians(deg))).value
+    golden = float.fromhex(GOLDEN[(kind, n, deg)])
+    if abs(golden) < 1e-9:
+        # the closed form is 0 here; these digits are the extrapolation's
+        # residue and move with the last bits of the double-double tables
+        assert value == pytest.approx(golden, rel=0.0, abs=1e-18)
+    else:
+        assert value.hex() == GOLDEN[(kind, n, deg)]

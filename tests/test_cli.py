@@ -59,6 +59,29 @@ def test_sum_tolerance_comparison(capsys):
     assert float(fields["expected"]) == pytest.approx(-0.25, abs=1e-12)
 
 
+def test_sum_abel_on_a_terminating_row_is_the_row_sum(capsys):
+    # the samples near r = 1 reach 1e18 here; the row is finite all the same
+    code, out, _ = run(capsys, "sum", "--kind", "cos", "--n", "64",
+                       "--phi", "0.3", "--method", "abel", "--tol", "1e-12")
+    assert code == 0
+    fields = out_fields(out)
+    assert fields["within_tolerance"] == "true"
+    assert fields["residual_estimate"] == "0"
+    assert fields["terms_used"] == "65"
+
+
+def test_sum_abel_on_a_terminating_row_matches_partial(capsys):
+    # 2**32 exactly; float64 cancellation in the row leaves 5.7e-8 relative
+    code, abel, _ = run(capsys, "sum", "--kind", "cos", "--n", "64",
+                        "--phi", "90deg", "--method", "abel")
+    assert code == 0
+    code, partial, _ = run(capsys, "sum", "--kind", "cos", "--n", "64",
+                           "--phi", "90deg", "--method", "partial")
+    assert code == 0
+    assert out_fields(abel)["value"] == out_fields(partial)["value"]
+    assert float(out_fields(abel)["value"]) == pytest.approx(2.0 ** 32, rel=1e-7)
+
+
 def test_sum_warns_on_unsuited_method(capsys):
     code, _, err = run(capsys, "sum", "--kind", "cos", "--n", "-1",
                        "--phi", "90deg", "--method", "partial")
