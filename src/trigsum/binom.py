@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 # Integer exponents above this magnitude fall back to the floating
 # recurrence; exactness is only needed at desk scale.
 EXACT_INTEGER_LIMIT = 64
@@ -21,6 +23,11 @@ EXACT_INTEGER_LIMIT = 64
 def is_integer_exponent(n: float) -> bool:
     """True when ``n`` equals its nearest integer exactly (no tolerance)."""
     return float(n).is_integer()
+
+
+def _exact_branch(nf: float) -> bool:
+    # n = -1 needs no big integers: every factor (n - k) / (k + 1) is exactly -1
+    return nf.is_integer() and abs(nf) <= EXACT_INTEGER_LIMIT and nf != -1.0
 
 
 def _to_float(value: int) -> float:
@@ -60,23 +67,34 @@ def gen_binom(n: float, k: int) -> float:
 def binom_prefix(n: float, count: int) -> list[float]:
     """First ``count`` coefficients ``[gen_binom(n, 0), ..., gen_binom(n, count-1)]``.
 
-    Computed in one pass by the multiplicative recurrence.  For integer
-    ``n`` within the exact limit the recurrence runs over Python integers
-    (the division is always exact), so every element is exact.
+    For integer ``n`` within the exact limit the recurrence runs over Python
+    integers (the division is always exact), so every element is exact;
+    other exponents, and n = -1, take the float scan of ``binom_scan``.
     """
+    nf = float(n)
+    if not _exact_branch(nf):
+        return binom_scan(nf, count).tolist()
     if count < 0:
         raise ValueError("count must be >= 0")
     out: list[float] = []
-    nf = float(n)
-    if nf.is_integer() and abs(nf) <= EXACT_INTEGER_LIMIT:
-        ni = int(nf)
-        c = 1
-        for k in range(count):
-            out.append(_to_float(c))
-            c = c * (ni - k) // (k + 1)
-        return out
-    c = 1.0
+    ni, c = int(nf), 1
     for k in range(count):
-        out.append(c)
-        c *= (nf - k) / (k + 1)
+        out.append(_to_float(c))
+        c = c * (ni - k) // (k + 1)
     return out
+
+
+def binom_scan(n: float, count: int) -> np.ndarray:
+    """``binom_prefix(n, count)`` as a float64 array.
+
+    Outside the exact branch it is one cumulative product (np.cumprod) of
+    the factors (n - k) / (k + 1), which multiplies in index order and so
+    gives the doubles of the recurrence.
+    """
+    nf = float(n)
+    if _exact_branch(nf):
+        return np.array(binom_prefix(nf, count), dtype=float)
+    factors = np.ones(count)  # raises ValueError for count < 0
+    k = np.arange(count - 1, dtype=float)
+    factors[1:] = (nf - k) / (k + 1.0)
+    return np.multiply.accumulate(factors)

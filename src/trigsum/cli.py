@@ -72,11 +72,11 @@ def _default_method(conv: ConvergenceClass) -> SummationMethod:
     return SummationMethod.PARTIAL
 
 
-def _method_warning(method: SummationMethod, conv: ConvergenceClass, n: float) -> str | None:
+def _method_warning(method: SummationMethod, conv: ConvergenceClass) -> str | None:
     if method is SummationMethod.PARTIAL and conv in (ConvergenceClass.SUMMABLE_ONLY,
                                                       ConvergenceClass.DIVERGENT):
         return f"partial sums do not settle for a {conv.value} series"
-    if method is SummationMethod.CESARO and (conv is ConvergenceClass.DIVERGENT or n <= -2):
+    if method is SummationMethod.CESARO and conv is ConvergenceClass.DIVERGENT:
         return "the first-order mean is unreliable here; abel is the robust choice"
     return None
 
@@ -85,7 +85,7 @@ def _cmd_sum(args) -> int:
     spec = SeriesSpec(args.kind, args.n, args.phi)
     conv = classify(spec)
     method = SummationMethod(args.method) if args.method else _default_method(conv)
-    warning = _method_warning(method, conv, spec.n)
+    warning = _method_warning(method, conv)
     if warning:
         print(f"warning: {warning}", file=sys.stderr)
 

@@ -24,13 +24,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import mpmath as mp
 import numpy as np
 
 from . import dd
-from .binom import binom_prefix, is_integer_exponent
+from .binom import binom_scan, is_integer_exponent
 from .exceptions import DivergentSeriesError, DomainError
 from .phase import binomial_phase_power
 
@@ -156,23 +155,20 @@ def classify(spec: SeriesSpec) -> ConvergenceClass:
     return ConvergenceClass.SUMMABLE_ONLY
 
 
-def trig_values(phi: float, count: int, kind: SeriesKind) -> list[float]:
-    """cos(k*phi) or sin(k*phi) for k = 0..count-1.
+def trig_values(phi: float, count: int, kind: SeriesKind) -> np.ndarray:
+    """cos(k*phi) or sin(k*phi) for k = 0..count-1, as a float64 array.
 
-    Uses the coupled angle-addition recurrence (one rotation per step),
-    which keeps the absolute error near machine precision uniformly in
-    phi; the value at k carries roughly k rounding errors that average
-    out instead of being amplified near phi = 0 or pi.
+    np.multiply.accumulate of z = cos(phi) + i sin(phi) takes the coupled
+    angle-addition step (one rotation per index, in index order), which
+    keeps the absolute error near machine precision uniformly in phi; the
+    value at k carries roughly k rounding errors that average out instead
+    of being amplified near phi = 0 or pi.
     """
     kind = SeriesKind(kind)
-    cphi, sphi = math.cos(phi), math.sin(phi)
-    x, y = 1.0, 0.0
-    out = []
-    want_cos = kind is SeriesKind.COSINE
-    for _ in range(count):
-        out.append(x if want_cos else y)
-        x, y = x * cphi - y * sphi, y * cphi + x * sphi
-    return out
+    steps = np.full(count, complex(math.cos(phi), math.sin(phi)))
+    steps[:1] = 1.0
+    rot = np.multiply.accumulate(steps)
+    return rot.imag if kind is SeriesKind.SINE else rot.real
 
 
 def _effective_terms(spec: SeriesSpec, terms: int) -> int:
@@ -190,9 +186,7 @@ def partial_sum(spec: SeriesSpec, terms: int) -> SummationResult:
     if terms < 1:
         raise ValueError("terms must be >= 1")
     count = _effective_terms(spec, terms)
-    coeffs = binom_prefix(spec.n, count)
-    trig = trig_values(spec.phi, count, spec.kind)
-    ts = [c * t for c, t in zip(coeffs, trig)]
+    ts = (binom_scan(spec.n, count) * trig_values(spec.phi, count, spec.kind)).tolist()
     value = math.fsum(ts)
     residual = abs(ts[-1]) if count == terms else 0.0
     return SummationResult(value, SummationMethod.PARTIAL, count, residual, classify(spec))
@@ -201,21 +195,19 @@ def partial_sum(spec: SeriesSpec, terms: int) -> SummationResult:
 def cesaro_sum(spec: SeriesSpec, terms: int) -> SummationResult:
     """(C,1) mean of the first ``terms`` partial sums.
 
+    The partial sums are np.cumsum of the terms, which adds in index order.
     The residual estimate compares the means of the last two windows of
     ceil(terms/4) partial sums; it stays large when the means oscillate,
     which is the method's own signal that it has not settled.
     """
     if terms < 2:
         raise ValueError("terms must be >= 2")
-    coeffs = binom_prefix(spec.n, terms)
-    trig = trig_values(spec.phi, terms, spec.kind)
-    ts = [c * t for c, t in zip(coeffs, trig)]
-    partials = list(accumulate(ts))
-    value = math.fsum(partials) / terms
+    partials = np.cumsum(binom_scan(spec.n, terms) * trig_values(spec.phi, terms, spec.kind))
+    value = math.fsum(partials.tolist()) / terms
     w = -(-terms // 4)  # ceil
-    last = math.fsum(partials[-w:]) / w
-    prev = math.fsum(partials[-2 * w:-w]) / len(partials[-2 * w:-w])
-    residual = abs(last - prev)
+    last = math.fsum(partials[-w:].tolist()) / w
+    prev = partials[-2 * w:-w]
+    residual = abs(last - math.fsum(prev.tolist()) / prev.size)
     return SummationResult(value, SummationMethod.CESARO, terms, residual, classify(spec))
 
 
@@ -275,17 +267,11 @@ def _abel_term_count(n: float, r: float) -> int:
 def _abel_point_f64(kind: SeriesKind, n: float, phi: float, r: float, count: int) -> float:
     """One radial sample in plain doubles, summed exactly rounded by math.fsum.
 
-    The coefficients, the powers r**k and the rotations (cos phi + i sin phi)**k
-    are np.cumprod scans of their step factors, which multiply in index
-    order and so give the same doubles as stepping each recurrence by hand.
+    The coefficient and rotation scans are the ones partial sums use; the
+    powers r**k are an np.cumprod of r, which multiplies in index order.
     """
-    k = np.arange(count - 1, dtype=float)
-    co = np.cumprod(np.concatenate(([1.0], (n - k) / (k + 1.0))))
     rk = np.cumprod(np.concatenate(([1.0], np.full(count - 1, r))))
-    z = complex(math.cos(phi), math.sin(phi))
-    rot = np.cumprod(np.concatenate(([1.0 + 0.0j], np.full(count - 1, z))))
-    trig = rot.imag if kind is SeriesKind.SINE else rot.real
-    return math.fsum((co * rk * trig).tolist())
+    return math.fsum((binom_scan(n, count) * rk * trig_values(phi, count, kind)).tolist())
 
 
 def _abel_point_dd(kind: SeriesKind, n: float, phi: float, radii, counts):
@@ -367,13 +353,17 @@ def evaluate(spec: SeriesSpec, method: SummationMethod, terms: int | None = None
     """Sum ``spec`` by one of the ``SUMMATION_METHODS``.
 
     Partial and Cesaro sums default to PARTIAL_TERM_BUDGET terms; ``radii``
-    only reaches Abel summation.  The phase path reads the row off
+    only reaches Abel summation.  Cesaro means raise DivergentSeriesError
+    for n <= -2.  The phase path reads the row off
     ``(1 + p)**n`` and raises DomainError unless n is an integer in 0..64.
     """
     method = SummationMethod(method)
     if method is SummationMethod.PARTIAL:
         return partial_sum(spec, terms or PARTIAL_TERM_BUDGET)
     if method is SummationMethod.CESARO:
+        if spec.n <= -2.0:
+            # the terms grow like k**(-n - 1), faster than (C,1) can average
+            raise DivergentSeriesError(f"no first-order Cesaro mean for n={spec.n} <= -2")
         return cesaro_sum(spec, terms or PARTIAL_TERM_BUDGET)
     if method is SummationMethod.ABEL:
         return abel_sum(spec, terms=terms, radii=radii)

@@ -43,6 +43,34 @@ def test_sum_divergent_exits_three(capsys):
     assert "divergent" in err
 
 
+@pytest.mark.parametrize("n", ["-2", "-3.5"])
+def test_sum_cesaro_at_or_below_minus_two_exits_three(capsys, n):
+    # the terms grow like k**(-n - 1): the first-order mean cannot sum them
+    code, out, err = run(capsys, "sum", "--kind", "cos", "--n", n,
+                         "--phi", "1", "--method", "cesaro")
+    assert code == 3
+    assert out == ""
+    assert "divergent" in err
+
+
+def test_sum_cesaro_above_minus_two_still_sums(capsys):
+    code, out, _ = run(capsys, "sum", "--kind", "cos", "--n", "-1.5",
+                       "--phi", "1", "--method", "cesaro", "--tol", "1e-2")
+    assert code == 0
+    assert out_fields(out)["within_tolerance"] == "true"
+
+
+def test_table_cesaro_below_minus_two_is_nan(capsys):
+    code, out, _ = run(capsys, "table", "--kind", "cos", "--n", "-2",
+                       "--from", "30deg", "--to", "60deg", "--step", "30deg",
+                       "--methods", "cesaro,abel")
+    assert code == 0
+    for line in out.strip().splitlines()[1:]:
+        fields = line.split(",")
+        assert math.isnan(float(fields[2]))
+        assert float(fields[3]) == pytest.approx(float(fields[4]), abs=1e-9)
+
+
 def test_sum_zero_exponent_sine(capsys):
     code, out, _ = run(capsys, "sum", "--kind", "sin", "--n", "0",
                        "--phi", "45deg", "--method", "partial")
