@@ -62,3 +62,19 @@ def div(xh, xl, yh, yl):
     q1 = (rh + rl) / yh
     return renorm(q0, q1)
 
+
+# Complex double-double: each part of x + iy is a (hi, lo) pair.
+
+def cmul(xh, xl, yh, yl, ch, cl, sh, sl):
+    """(x + iy) * (c + is)."""
+    t1h, t1l = mul(xh, xl, ch, cl)
+    t2h, t2l = mul(yh, yl, sh, sl)
+    nyh, nyl = add(*mul(yh, yl, ch, cl), *mul(xh, xl, sh, sl))
+    nxh, nxl = add(t1h, t1l, -t2h, -t2l)
+    return nxh, nxl, nyh, nyl
+
+
+def crecip(xh, xl, yh, yl):
+    """1 / (x + iy) = (x - iy) / (x**2 + y**2)."""
+    nh, nl = add(*mul(xh, xl, xh, xl), *mul(yh, yl, yh, yl))
+    return (*div(xh, xl, nh, nl), *div(-yh, -yl, nh, nl))

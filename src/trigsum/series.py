@@ -274,50 +274,63 @@ def _abel_point_f64(kind: SeriesKind, n: float, phi: float, r: float, count: int
     return math.fsum((binom_scan(n, count) * rk * trig_values(phi, count, kind)).tolist())
 
 
-def _abel_point_dd(kind: SeriesKind, n: float, phi: float, radii, counts):
-    """Radial samples at one angle in double-double: (hi, lo) arrays, one entry per radius.
+def _abel_point_dd(kind: SeriesKind, n: float, phi: float, radii):
+    """Levin radial samples at one angle: the grid engine on a one-angle grid.
 
-    The grid engine on a one-angle grid: the trig and coefficient tables
-    are built once and shared by every radius.
+    Returns the samples as lists of (hi, lo) floats per radius, the largest
+    accepted Levin gap and the largest Levin order used.
     """
-    Th, Tl = _dd_trig_table(np.array([phi]), max(counts), kind is SeriesKind.SINE)
-    hi, lo = _dd_radial_samples(_dd_coeff_arrays(n, max(counts)), radii, counts, Th, Tl)
-    return hi[:, 0], lo[:, 0]
+    hi, lo, gap, order = _levin_samples(kind, n, _dd_trig_table(np.array([phi]), _LEVIN_ROWS), radii)
+    return hi[:, 0].tolist(), lo[:, 0].tolist(), float(gap.max()), int(order.max())
 
 
-def _extrapolate_radial(radii, f_hi, f_lo) -> tuple[float, float]:
+def _neville_amplification(radii) -> float:
+    """Sum of |l_i(0)| over the Lagrange basis of the nodes x_i = 1 - r_i.
+
+    Neville's value at x = 0 is sum_i l_i(0) f_i, so sample errors up to e
+    move it by at most e times this sum.
+    """
+    return math.fsum(abs(math.prod((1.0 - rj) / (ri - rj) for rj in radii if rj != ri))
+                     for ri in radii)
+
+
+def _extrapolate_radial(radii, f_hi, f_lo):
     """Neville extrapolation of the samples to r -> 1, i.e. to x = 1-r = 0.
 
-    Returns (value, |last correction|).  Runs in extended precision so the
-    tableau arithmetic never limits the result.
+    Returns (value, |last correction|).  The tableau runs in double-double:
+    each node x_i = 1 - r_i and each difference x_j - x_i = r_i - r_j is
+    exact there.  The samples are floats, one per radius, or numpy arrays,
+    one entry per angle; both give the same bits.
     """
-    with mp.workdps(50):
-        xs = [mp.mpf(1) - mp.mpf(r) for r in radii]
-        t = [mp.mpf(h) + mp.mpf(l) for h, l in zip(f_hi, f_lo)]
-        top_prev = t[0]
-        corr = mp.mpf(0)
-        for lev in range(1, len(t)):
-            for i in range(len(t) - lev):
-                t[i] = (xs[i + lev] * t[i] - xs[i] * t[i + 1]) / (xs[i + lev] - xs[i])
-            corr = t[0] - top_prev
-            top_prev = t[0]
-        return float(t[0]), abs(float(corr))
+    xs = [dd.two_sum(1.0, -r) for r in radii]
+    t = list(zip(f_hi, f_lo))
+    top = t[0]
+    corr = 0.0
+    for lev in range(1, len(t)):
+        for i in range(len(t) - lev):
+            ah, al = dd.mul(*xs[i + lev], *t[i])
+            bh, bl = dd.mul(*xs[i], *t[i + 1])
+            t[i] = dd.div(*dd.add(ah, al, -bh, -bl), *dd.two_sum(radii[i], -radii[i + lev]))
+        corr = dd.add(*t[0], -top[0], -top[1])[0]
+        top = t[0]
+    return t[0][0], abs(corr)
 
 
 def abel_sum(spec: SeriesSpec, terms: int | None = None, radii=None) -> SummationResult:
     """Abel sum: radial samples extrapolated to the unit radius.
 
     ``radii`` must be strictly increasing inside (0, 1), at least three of
-    them.  ``terms`` fixes the truncation per sample; by default each
-    sample gets a budget that pushes the neglected tail far below the
-    extrapolation error (always enough that r**terms < 1e-16).
+    them.  ``terms`` fixes a plain truncation per sample (enough that
+    r**terms < 1e-16).  By default exponents above -2 sum each sample in
+    plain doubles up to a term budget that pushes the neglected tail far
+    below the extrapolation error, and exponents at or below -2 take Levin
+    samples in double-double (see ``_levin_samples``): close to the unit
+    radius the terms dwarf their sum and plain doubles cannot cancel them
+    accurately.
 
-    Exponents at or below -2 are summed in double-double arithmetic: close
-    to the unit radius the terms dwarf their sum and plain doubles cannot
-    cancel them accurately.
-
-    Raises DivergentSeriesError when the series has no radial limit, or
-    when a sample exceeds DIVERGENCE_THRESHOLD.
+    Raises DivergentSeriesError when the series has no radial limit, when
+    the Levin orders do not settle, or when a sample exceeds
+    DIVERGENCE_THRESHOLD.
     """
     radii = _validate_radii(DEFAULT_ABEL_RADII if radii is None else radii)
     conv = classify(spec)
@@ -334,17 +347,24 @@ def abel_sum(spec: SeriesSpec, terms: int | None = None, radii=None) -> Summatio
         # a terminating row is its own Abel value: its sum at r = 1
         row = partial_sum(spec, int(spec.n) + 1)
         return SummationResult(row.value, SummationMethod.ABEL, row.terms_used, 0.0, conv)
-    if terms is None:
-        counts = [_abel_term_count(spec.n, r) for r in radii]
-    if spec.n <= -2.0:
-        hi, lo = _abel_point_dd(spec.kind, spec.n, spec.phi, radii, counts)
-    else:
+    gap = 0.0
+    if spec.n > -2.0:
+        if terms is None:
+            counts = [_abel_term_count(spec.n, r) for r in radii]
         hi = [_abel_point_f64(spec.kind, spec.n, spec.phi, r, count)
               for r, count in zip(radii, counts)]
         lo = [0.0] * len(radii)
+    elif terms is None:
+        hi, lo, gap, order = _abel_point_dd(spec.kind, spec.n, spec.phi, radii)
+        counts = [order]
+    else:
+        trig = _dd_trig_table(np.array([spec.phi]), terms)[_part(spec.kind)]
+        hi, lo = _dd_radial_samples(_dd_coeff_arrays(spec.n, terms), radii, counts, *trig)
+        hi, lo = hi[:, 0].tolist(), lo[:, 0].tolist()
     if max(abs(h) for h in hi) > DIVERGENCE_THRESHOLD:
         raise DivergentSeriesError("radial samples grow without bound")
-    value, residual = _extrapolate_radial(radii, hi, lo)
+    value, correction = _extrapolate_radial(radii, hi, lo)
+    residual = correction + gap * _neville_amplification(radii)
     return SummationResult(value, SummationMethod.ABEL, max(counts), residual, conv)
 
 
@@ -353,17 +373,23 @@ def evaluate(spec: SeriesSpec, method: SummationMethod, terms: int | None = None
     """Sum ``spec`` by one of the ``SUMMATION_METHODS``.
 
     Partial and Cesaro sums default to PARTIAL_TERM_BUDGET terms; ``radii``
-    only reaches Abel summation.  Cesaro means raise DivergentSeriesError
-    for n <= -2.  The phase path reads the row off
+    only reaches Abel summation.  Partial sums raise DivergentSeriesError
+    on a summable-only or divergent series, Cesaro means on a divergent one
+    or for n <= -2.  The phase path reads the row off
     ``(1 + p)**n`` and raises DomainError unless n is an integer in 0..64.
     """
     method = SummationMethod(method)
+    conv = classify(spec)
     if method is SummationMethod.PARTIAL:
+        if conv in (ConvergenceClass.SUMMABLE_ONLY, ConvergenceClass.DIVERGENT):
+            raise DivergentSeriesError(f"partial sums do not settle for a {conv.value} series")
         return partial_sum(spec, terms or PARTIAL_TERM_BUDGET)
     if method is SummationMethod.CESARO:
-        if spec.n <= -2.0:
-            # the terms grow like k**(-n - 1), faster than (C,1) can average
-            raise DivergentSeriesError(f"no first-order Cesaro mean for n={spec.n} <= -2")
+        if conv is ConvergenceClass.DIVERGENT or spec.n <= -2.0:
+            # at the half-turn with n < 0 the terms keep one sign; for
+            # n <= -2 they grow like k**(-n - 1): (C,1) cannot average either
+            raise DivergentSeriesError(f"no first-order Cesaro mean for a {conv.value} series"
+                                       f" with n={spec.n}")
         return cesaro_sum(spec, terms or PARTIAL_TERM_BUDGET)
     if method is SummationMethod.ABEL:
         return abel_sum(spec, terms=terms, radii=radii)
@@ -373,22 +399,13 @@ def evaluate(spec: SeriesSpec, method: SummationMethod, terms: int | None = None
         except ValueError as exc:
             raise DomainError(f"phase path needs integer n in 0..64: {exc}") from exc
         value = sin_sum if spec.kind is SeriesKind.SINE else cos_sum
-        return SummationResult(value, method, int(spec.n) + 1, 0.0, classify(spec))
+        return SummationResult(value, method, int(spec.n) + 1, 0.0, conv)
     raise ValueError(f"{method.value!r} is not a summation method")
 
 
 # ----------------------------------------------------------------------
 # Double-double Abel engine: one angle (abel_sum) or an angle grid (suites)
 # ----------------------------------------------------------------------
-
-def _dd_rotate(xh, xl, yh, yl, ch, cl, sh, sl):
-    """(x + iy) * (c + is) with each part a double-double pair."""
-    t1h, t1l = dd.mul(xh, xl, ch, cl)
-    t2h, t2l = dd.mul(yh, yl, sh, sl)
-    nyh, nyl = dd.add(*dd.mul(yh, yl, ch, cl), *dd.mul(xh, xl, sh, sl))
-    nxh, nxl = dd.add(t1h, t1l, -t2h, -t2l)
-    return nxh, nxl, nyh, nyl
-
 
 def _dd_unit_power(phis, k: int):
     """cos(k*phi) and sin(k*phi) per angle as double-double (hi, lo, hi, lo) arrays.
@@ -405,15 +422,15 @@ def _dd_unit_power(phis, k: int):
     return tuple(out)
 
 
-def _dd_trig_table(phis: np.ndarray, count: int, want_sine: bool):
-    """cos(k*phi), or sin(k*phi) when ``want_sine``, for k < count, double-double, per angle.
+def _dd_trig_table(phis: np.ndarray, count: int):
+    """cos(k*phi) and sin(k*phi) for k < count, double-double, per angle.
 
+    Returns (cos hi, cos lo, sin hi, sin lo), each shaped (count, angles).
     z**k for z = exp(i*phi) is built by doubling, z**[L, 2L) = z**[0, L) * z**L,
     over a block of B rows, B the largest power of two that keeps a block
     within _BLOCK_ELEMS elements; each further block is the previous one
     times z**B.  Every z**L is read from mpmath, so errors add up only
-    along the log2(B) doublings and the count/B block steps.  Only the
-    requested part is stored.
+    along the log2(B) doublings and the count/B block steps.
     """
     phis = phis.tolist()
     m = len(phis)
@@ -424,20 +441,24 @@ def _dd_trig_table(phis: np.ndarray, count: int, want_sine: bool):
     block[0][0] = 1.0
     size = 1
     while size < rows:
-        ext = _dd_rotate(*(a[:size] for a in block), *_dd_unit_power(phis, size))
+        ext = dd.cmul(*(a[:size] for a in block), *_dd_unit_power(phis, size))
         for a, e in zip(block, ext):
             a[size:2 * size] = e
         size *= 2
     zrows = _dd_unit_power(phis, rows)
-    part = slice(2, 4) if want_sine else slice(0, 2)
-    hi = np.empty((count, m))
-    lo = np.empty((count, m))
+    table = tuple(np.empty((count, m)) for _ in range(4))
     for start in range(0, count, rows):
         stop = min(start + rows, count)
-        hi[start:stop], lo[start:stop] = (a[:stop - start] for a in block[part])
+        for t, a in zip(table, block):
+            t[start:stop] = a[:stop - start]
         if stop < count:
-            block = _dd_rotate(*block, *zrows)
-    return hi, lo
+            block = dd.cmul(*block, *zrows)
+    return table
+
+
+def _part(kind: SeriesKind) -> slice:
+    """The (hi, lo) pair of a _dd_trig_table result that ``kind`` sums."""
+    return slice(2, 4) if kind is SeriesKind.SINE else slice(0, 2)
 
 
 def _dd_coeff_arrays(n: float, count: int):
@@ -463,11 +484,16 @@ def _dd_coeff_arrays(n: float, count: int):
     return hi, lo
 
 
-def _dd_power_arrays(r: float, count: int):
-    """r**k for k < count in double-double, by doubling: r**[L, 2L) = r**[0, L) * r**L."""
-    hi = np.ones(count)
-    lo = np.zeros(count)
-    ph, pl = r, 0.0
+def _dd_power_arrays(r, count: int):
+    """r**k for k < count in double-double, by doubling: r**[L, 2L) = r**[0, L) * r**L.
+
+    ``r`` is one radius, giving arrays of ``count`` entries, or an array of
+    radii, giving arrays shaped (count, radii).
+    """
+    r = np.asarray(r, dtype=float)
+    hi = np.ones((count,) + r.shape)
+    lo = np.zeros_like(hi)
+    ph, pl = r, np.zeros_like(r)
     size = 1
     while size < count:
         step = min(size, count - size)
@@ -491,8 +517,9 @@ def _dd_reduce_axis0(th: np.ndarray, tl: np.ndarray):
 def _dd_radial_samples(coeffs, radii, counts, Th, Tl):
     """sum_k c_k r**k T[k] per radius, in double-double, shape (radii, angles).
 
-    ``coeffs`` is the (hi, lo) coefficient table, ``counts`` the truncation
-    per radius and ``Th``, ``Tl`` the trig table.  The term products and
+    The plain truncation behind an explicit ``terms``.  ``coeffs`` is the
+    (hi, lo) coefficient table, ``counts`` the truncation per radius and
+    ``Th``, ``Tl`` one part of the trig table.  The term products and
     their pairwise reduction run in row blocks of at most _BLOCK_ELEMS
     elements, and the block sums are added in double-double.
     """
@@ -512,13 +539,108 @@ def _dd_radial_samples(coeffs, radii, counts, Th, Tl):
     return out_h, out_l
 
 
+# Levin's u transform (Levin 1973; Weniger 1989, sections 7-8) of the
+# complex series sum_k a_k with a_k = c_k w**k, w = r*exp(i*phi): with
+# partial sums s_j and omega_j = (j + 1) * a_j, order K is
+#     L_K = sum_j W_Kj s_j / omega_j  /  sum_j W_Kj / omega_j,
+#     W_Kj = (-1)**j * C(K, j) * (j + 1)**(K - 1),  j = 0..K.
+# The complex series has the single ratio w, which is the model the
+# transform fits; the real series mixes r*exp(+-i*phi) and does not.
+
+#: Orders walked for each sample; the last one needs _LEVIN_ROWS terms.
+_LEVIN_ORDERS = tuple(range(16, 65, 8))
+_LEVIN_ROWS = _LEVIN_ORDERS[-1] + 1
+#: Two consecutive orders agree when |L_K - L_K'| is at most this times
+#: max(|L_K|, max_j |s_j|).  Near the half-turn the error of L_K falls and
+#: then rises again within a few orders: at n = -2.5, 170 deg and r = 0.996
+#: the closest pair differs by 4.5e-13, while at the branch point n = -3,
+#: phi = pi - 1e-6 no pair is closer than 4.5e-12.
+_LEVIN_AGREE = 1e-12
+
+
+def _levin_weights(order: int):
+    """W_Kj for j = 0..K as exact integers, each rounded once to double-double."""
+    exact = [(-1) ** j * math.comb(order, j) * (j + 1) ** (order - 1) for j in range(order + 1)]
+    hi = [float(w) for w in exact]
+    return np.array(hi), np.array([float(w - int(h)) for w, h in zip(exact, hi)])
+
+
+_LEVIN_WEIGHTS = {order: _levin_weights(order) for order in _LEVIN_ORDERS}
+
+
+def _dd_scan_axis0(h: np.ndarray, l: np.ndarray):
+    """Running double-double sums along axis 0, in place, by log2(rows) doubling passes."""
+    shift = 1
+    while shift < h.shape[0]:
+        h[shift:], l[shift:] = dd.add(h[shift:], l[shift:], h[:-shift], l[:-shift])
+        shift *= 2
+    return h, l
+
+
+def _levin_samples(kind: SeriesKind, n: float, trig, radii):
+    """Abel radial samples of the complex series by Levin's u transform.
+
+    ``trig`` is a _dd_trig_table of at least _LEVIN_ROWS rows.  Each
+    (radius, angle) sample walks the orders of _LEVIN_ORDERS and is taken
+    at the first order that agrees with the one before it to _LEVIN_AGREE.
+    Returns the real part (cosine) or imaginary part (sine) as (hi, lo),
+    the accepted gap |L_K - L_K'| and the accepted order K, each shaped
+    (radii, angles).  Raises DivergentSeriesError when some sample has no
+    agreeing pair of orders, as near a branch point of (1 + w)**n.
+    """
+    rows = _LEVIN_ROWS
+    ch, cl, sh, sl = (t[:rows, None, :] for t in trig)
+    # c_k r**k shaped (rows, radii, 1), times z**k: the complex terms a_k
+    crh, crl = dd.mul(*(c[:, None] for c in _dd_coeff_arrays(n, rows)),
+                      *_dd_power_arrays(radii, rows))
+    crh, crl = crh[..., None], crl[..., None]
+    re, im = dd.mul(crh, crl, ch, cl), dd.mul(crh, crl, sh, sl)
+    j1 = np.arange(1.0, rows + 1.0)[:, None, None]
+    inv = dd.crecip(*dd.mul(*re, j1, 0.0), *dd.mul(*im, j1, 0.0))
+    sums = (*_dd_scan_axis0(*re), *_dd_scan_axis0(*im))
+    scale = np.maximum.accumulate(np.hypot(sums[0], sums[2]), axis=0)
+    quot = dd.cmul(*sums, *inv)
+    # numerator and denominator parts stacked on axis 1, samples flattened
+    # on axis 2: (rows, 4, radii * angles)
+    shape = scale.shape[1:]
+    stack_h = np.stack([quot[0], quot[2], inv[0], inv[2]], axis=1).reshape(rows, 4, -1)
+    stack_l = np.stack([quot[1], quot[3], inv[1], inv[3]], axis=1).reshape(rows, 4, -1)
+    scale = scale.reshape(rows, -1)
+
+    out_h, out_l, gap = (np.empty(scale.shape[1]) for _ in range(3))
+    order = np.zeros(scale.shape[1], dtype=int)
+    part = _part(kind)
+    todo = np.arange(scale.shape[1])  # samples not yet accepted
+    prev = None
+    for K in _LEVIN_ORDERS:
+        wh, wl = (w[:, None, None] for w in _LEVIN_WEIGHTS[K])
+        rh, rl = _dd_reduce_axis0(*dd.mul(wh, wl, stack_h[:K + 1, :, todo], stack_l[:K + 1, :, todo]))
+        value = dd.cmul(rh[0], rl[0], rh[1], rl[1], *dd.crecip(rh[2], rl[2], rh[3], rl[3]))
+        if prev is not None:
+            diff = np.hypot(dd.add(*value[:2], -prev[0], -prev[1])[0],
+                            dd.add(*value[2:], -prev[2], -prev[3])[0])
+            ok = diff <= _LEVIN_AGREE * np.maximum(np.hypot(value[0], value[2]), scale[K, todo])
+            done = todo[ok]
+            out_h[done], out_l[done] = (v[ok] for v in value[part])
+            gap[done] = diff[ok]
+            order[done] = K
+            todo = todo[~ok]
+            if not todo.size:
+                return tuple(a.reshape(shape) for a in (out_h, out_l, gap, order))
+            value = tuple(v[~ok] for v in value)
+        prev = value
+    raise DivergentSeriesError(
+        f"Levin orders up to {_LEVIN_ORDERS[-1]} do not agree for n={n}: no Abel value")
+
+
 def abel_sum_grid(kind: SeriesKind, ns, phis, radii=None) -> dict[float, tuple[np.ndarray, np.ndarray, int]]:
     """Abel sums for several exponents over a shared angle grid.
 
-    Double-double throughout, with trig tables shared across exponents and
-    radii; this is the vectorized back end the verification suites use.
-    Returns, per exponent, the array of values aligned with ``phis``, the
-    per-angle residual estimates, and the largest truncation used.
+    Levin samples in double-double (see ``_levin_samples``), with one trig
+    table shared across exponents and radii; this is the vectorized back
+    end the verification suites use.  Returns, per exponent, the array of
+    values aligned with ``phis``, the per-angle residual estimates, and
+    the largest Levin order used (the row length for a terminating row).
 
     Every (n, phi) pair must be summable: grid points where the series
     diverges are the caller's job to exclude.
@@ -533,30 +655,27 @@ def abel_sum_grid(kind: SeriesKind, ns, phis, radii=None) -> dict[float, tuple[n
             if classify(spec) is ConvergenceClass.DIVERGENT:
                 raise DivergentSeriesError(f"grid contains a divergent point: n={n} phi={phi}")
 
-    counts = {(n, r): _abel_term_count(n, r) for n in ns for r in radii}
-    kmax = max(counts.values())
-
     # cos is even and sin is odd in phi, so tables are built on |phi| and
     # the sine columns get the sign back afterwards; the float sequences
     # are bit-identical to building each signed angle directly.
-    aphi = np.abs(phis)
-    uniq, inverse = np.unique(aphi, return_inverse=True)
-    want_sine = kind is SeriesKind.SINE
-    Th, Tl = _dd_trig_table(uniq, kmax, want_sine)
+    uniq, inverse = np.unique(np.abs(phis), return_inverse=True)
+    trig = _dd_trig_table(uniq, _LEVIN_ROWS)
+    amplification = _neville_amplification(radii)
 
     out: dict[float, tuple[np.ndarray, np.ndarray, int]] = {}
     for n in ns:
-        kr = [counts[(n, r)] for r in radii]
-        sample_h, sample_l = _dd_radial_samples(_dd_coeff_arrays(n, max(kr)), radii, kr, Th, Tl)
+        if is_integer_exponent(n) and n >= 0:
+            # a terminating row is its own Abel value, as in abel_sum
+            rows = [partial_sum(SeriesSpec(kind, n, phi), int(n) + 1).value for phi in phis.tolist()]
+            out[n] = (np.array(rows), np.zeros(len(phis)), int(n) + 1)
+            continue
+        sample_h, sample_l, gap, order = _levin_samples(kind, n, trig, radii)
         if np.abs(sample_h).max() > DIVERGENCE_THRESHOLD:
             raise DivergentSeriesError("radial samples grow without bound")
-        values = np.empty(len(uniq))
-        residuals = np.empty(len(uniq))
-        for i in range(len(uniq)):
-            values[i], residuals[i] = _extrapolate_radial(radii, sample_h[:, i], sample_l[:, i])
+        values, corrections = _extrapolate_radial(radii, sample_h, sample_l)
+        residuals = corrections + gap.max(axis=0) * amplification
         values = values[inverse]
-        residuals = residuals[inverse]
-        if want_sine:
+        if kind is SeriesKind.SINE:
             values = values * np.sign(phis)
-        out[n] = (values, residuals, max(kr))
+        out[n] = (values, residuals[inverse], int(order.max()))
     return out

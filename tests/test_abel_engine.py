@@ -1,4 +1,5 @@
-"""The Abel engine's double-double tables, term budgets and pinned values.
+"""The Abel engine's double-double tables, Levin samples, Neville tableau,
+term budgets and pinned values.
 
 The tables and budgets are numpy constructions (doubling, prefix scans,
 chunked cumsum); the references here are mpmath, exact integers and the
@@ -13,15 +14,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trigsum import DEFAULT_ABEL_RADII, SeriesKind, SeriesSpec, abel_sum, abel_terms_needed
+from trigsum import (
+    DEFAULT_ABEL_RADII,
+    NEGATIVE_SUITE_RADII,
+    DivergentSeriesError,
+    SeriesKind,
+    SeriesSpec,
+    abel_sum,
+    abel_terms_needed,
+)
 from trigsum.binom import gen_binom_exact
 from trigsum.series import (
     _ABEL_CUT_LOG,
+    _LEVIN_ROWS,
     _abel_point_f64,
     _abel_term_count,
     _dd_coeff_arrays,
     _dd_power_arrays,
     _dd_trig_table,
+    _extrapolate_radial,
+    _levin_samples,
 )
 
 #: Largest term budget of the negative_integer suite (n = -6, r = 0.996).
@@ -41,8 +53,8 @@ def test_dd_trig_table_against_mpmath():
     worst = 0.0
     with mp.workdps(50):
         for grid in grids:
-            for want_sine, exact in ((False, mp.cos), (True, mp.sin)):
-                hi, lo = _dd_trig_table(grid, SUITE_KMAX, want_sine)
+            table = _dd_trig_table(grid, SUITE_KMAX)
+            for (hi, lo), exact in ((table[:2], mp.cos), (table[2:], mp.sin)):
                 assert hi.shape == (SUITE_KMAX, len(grid))
                 for j, phi in enumerate(grid.tolist()):
                     for k in range(0, SUITE_KMAX, 997):
@@ -106,11 +118,103 @@ def test_abel_point_f64_sums_the_loop_terms_exactly(kind, n, phi):
             _f64_terms_by_loop(kind, n, phi, r, count))
 
 
+# ---------------------------------------------------------------- Levin samples
+
+LEVIN_DEGREES = (2.0, 17.0, 45.0, 73.0, 90.0, 111.0, 135.0, 150.0, 163.0, 168.0, 170.0)
+
+
+@pytest.mark.parametrize("radii", [DEFAULT_ABEL_RADII, NEGATIVE_SUITE_RADII],
+                         ids=["default_radii", "suite_radii"])
+@pytest.mark.parametrize("n", [-1.0, -2.0, -2.5, -3.0, -6.0])
+def test_levin_samples_against_mpmath(n, radii):
+    phis = np.radians(LEVIN_DEGREES)
+    trig = _dd_trig_table(phis, _LEVIN_ROWS)
+    worst = 0.0
+    with mp.workdps(40):
+        for kind in SeriesKind:
+            hi, lo, gap, order = _levin_samples(kind, n, trig, radii)
+            assert hi.shape == gap.shape == order.shape == (len(radii), len(phis))
+            assert order.max() <= _LEVIN_ROWS - 1
+            for i, r in enumerate(radii):
+                for j, phi in enumerate(phis.tolist()):
+                    value = (1 + mp.mpf(r) * mp.expj(mp.mpf(phi))) ** n
+                    exact = value.imag if kind is SeriesKind.SINE else value.real
+                    err = abs(_dd_value(hi[i, j], lo[i, j]) - exact) / abs(value)
+                    worst = max(worst, float(err))
+    assert worst <= 1e-12
+
+
+def test_levin_refuses_the_branch_point():
+    # (1 + r exp(i phi))**-3 next to phi = pi: no two orders agree
+    phis = np.array([math.pi - 1e-6])
+    with pytest.raises(DivergentSeriesError):
+        _levin_samples(SeriesKind.COSINE, -3.0, _dd_trig_table(phis, _LEVIN_ROWS),
+                       DEFAULT_ABEL_RADII)
+
+
+def test_abel_explicit_terms_below_minus_two_truncate_in_double_double():
+    spec = SeriesSpec("cos", -3.0, 1.0)
+    res = abel_sum(spec, terms=7000)
+    assert res.terms_used == 7000
+    assert res.value == pytest.approx(abel_sum(spec).value, abs=1e-12)
+
+
+# ---------------------------------------------------------------- Neville tableau
+
+def _neville_mpmath(radii, f_hi, f_lo):
+    """The former 50-digit tableau: (value, |last correction|)."""
+    with mp.workdps(50):
+        xs = [mp.mpf(1) - mp.mpf(r) for r in radii]
+        t = [mp.mpf(h) + mp.mpf(l) for h, l in zip(f_hi, f_lo)]
+        top_prev = t[0]
+        corr = mp.mpf(0)
+        for lev in range(1, len(t)):
+            for i in range(len(t) - lev):
+                t[i] = (xs[i + lev] * t[i] - xs[i] * t[i + 1]) / (xs[i + lev] - xs[i])
+            corr = t[0] - top_prev
+            top_prev = t[0]
+        return float(t[0]), abs(float(corr))
+
+
+@pytest.mark.parametrize("radii", [DEFAULT_ABEL_RADII, NEGATIVE_SUITE_RADII],
+                         ids=["default_radii", "suite_radii"])
+def test_dd_neville_matches_the_mpmath_tableau(radii):
+    phis = np.radians(LEVIN_DEGREES)
+    trig = _dd_trig_table(phis, _LEVIN_ROWS)
+    for n in (-1.0, -2.5, -6.0):
+        hi, lo, _, _ = _levin_samples(SeriesKind.COSINE, n, trig, radii)
+        values, corrections = _extrapolate_radial(radii, hi, lo)
+        for j in range(len(phis)):
+            value, correction = _neville_mpmath(radii, hi[:, j].tolist(), lo[:, j].tolist())
+            # one ulp of the value, or of double-double where it cancels to near 0
+            assert abs(values[j] - value) <= max(math.ulp(value), 1e-29 * np.abs(hi[:, j]).max())
+            assert corrections[j] == pytest.approx(correction, rel=1e-12, abs=1e-300)
+
+
+def test_dd_neville_gives_the_same_bits_on_arrays_and_floats():
+    rng = np.random.default_rng(7)
+    for radii in (DEFAULT_ABEL_RADII, NEGATIVE_SUITE_RADII):
+        hi = rng.normal(size=(len(radii), 16)) * 10.0 ** rng.integers(-8, 8, size=16)
+        lo = hi * 2.0 ** -60 * rng.uniform(-1, 1, size=hi.shape)
+        values, corrections = _extrapolate_radial(radii, hi, lo)
+        for j in range(hi.shape[1]):
+            value, correction = _extrapolate_radial(radii, hi[:, j].tolist(), lo[:, j].tolist())
+            assert type(value) is float
+            assert (value.hex(), correction.hex()) == (values[j].hex(), corrections[j].hex())
+
+
 # ---------------------------------------------------------------- term budgets
+
+#: The largest Levin order abel_sum takes at phi = 1 rad and the default radii.
+LEVIN_ORDER_AT_ONE_RADIAN = {-3.0: 24, -6.0: 24}
+
 
 @pytest.mark.parametrize("n,terms", [(-1.5, 5482), (-3.0, 6727), (-6.0, 9101)])
 def test_abel_term_budget_at_default_radii(n, terms):
-    assert abel_sum(SeriesSpec("cos", n, 1.0)).terms_used == terms
+    # n > -2 truncates each float64 sample at its budget; n <= -2 reports
+    # the Levin order of its double-double samples instead
+    used = abel_sum(SeriesSpec("cos", n, 1.0)).terms_used
+    assert used == (terms if n > -2.0 else LEVIN_ORDER_AT_ONE_RADIAN[n])
     assert max(_abel_term_count(n, r) for r in DEFAULT_ABEL_RADII) == terms
 
 
@@ -160,8 +264,8 @@ def test_abel_term_budget_of_a_terminating_row():
 
 # ---------------------------------------------------------------- pinned values
 
-#: abel_sum(SeriesSpec(kind, n, radians(deg))).value.hex() before the
-#: engine was vectorized.
+#: abel_sum(SeriesSpec(kind, n, radians(deg))).value.hex(): float64
+#: samples for n > -2, Levin samples for n <= -2, double-double Neville.
 GOLDEN = {
     ("cos", -1.9, -115.0): "-0x1.2677d2b60fbddp-2",
     ("cos", -1.9, -60.0): "0x1.88cd461035043p-3",
@@ -203,7 +307,7 @@ GOLDEN = {
     ("cos", -2.0, -60.0): "0x1.555555553a6fep-3",
     ("cos", -2.0, -7.5): "0x1.fdccebfd05832p-3",
     ("cos", -2.0, 33.0): "0x1.d3136c71ddedap-3",
-    ("cos", -2.0, 90.0): "-0x1.9e6db5ecf0c50p-37",
+    ("cos", -2.0, 90.0): "-0x1.9e6db5eda6402p-37",
     ("cos", -2.0, 119.0): "-0x1.e1ceb03eb874fp-2",
     ("sin", -2.0, -115.0): "0x1.91d6e9fc7774cp-1",
     ("sin", -2.0, -60.0): "0x1.279a7458fd330p-2",
@@ -227,14 +331,14 @@ GOLDEN = {
     ("cos", -6.0, -60.0): "-0x1.2f684bd5cc778p-5",
     ("cos", -6.0, -7.5): "0x1.df2619f500f92p-7",
     ("cos", -6.0, 33.0): "-0x1.9c536d9d60c50p-9",
-    ("cos", -6.0, 90.0): "0x1.3036cecd5d28fp-32",
+    ("cos", -6.0, 90.0): "0x1.3036cecd95817p-32",
     ("cos", -6.0, 119.0): "0x1.d36451289449dp-1",
     ("sin", -6.0, -115.0): "-0x1.583a8e0e74712p-3",
-    ("sin", -6.0, -60.0): "-0x1.b62323d4dfa03p-36",
+    ("sin", -6.0, -60.0): "-0x1.b62323d556f7ep-36",
     ("sin", -6.0, -7.5): "0x1.8cf09ca6dd82dp-8",
     ("sin", -6.0, 33.0): "-0x1.456a57e3b23c2p-6",
     ("sin", -6.0, 90.0): "0x1.000000107c54cp-3",
-    ("sin", -6.0, 119.0): "0x1.87eb7affbf5c2p-5",
+    ("sin", -6.0, 119.0): "0x1.87eb7affbf5c1p-5",
 }
 
 
@@ -244,7 +348,7 @@ def test_abel_sum_golden_values(kind, n, deg):
     golden = float.fromhex(GOLDEN[(kind, n, deg)])
     if abs(golden) < 1e-9:
         # the closed form is 0 here; these digits are the extrapolation's
-        # residue and move with the last bits of the double-double tables
+        # residue and move with the last bits of the double-double samples
         assert value == pytest.approx(golden, rel=0.0, abs=1e-18)
     else:
         assert value.hex() == GOLDEN[(kind, n, deg)]

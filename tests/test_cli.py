@@ -111,10 +111,50 @@ def test_sum_abel_on_a_terminating_row_matches_partial(capsys):
 
 
 def test_sum_warns_on_unsuited_method(capsys):
-    code, _, err = run(capsys, "sum", "--kind", "cos", "--n", "-1",
-                       "--phi", "90deg", "--method", "partial")
+    # partial sums of a summable-only row do not settle: refused, not warned
+    code, out, err = run(capsys, "sum", "--kind", "cos", "--n", "-1",
+                         "--phi", "90deg", "--method", "partial")
+    assert code == 3
+    assert out == ""
+    assert "divergent" in err
+
+
+@pytest.mark.parametrize("method,n,phi", [
+    ("partial", "-3", "1"),          # summable only: printed 2449618922.19
+    ("partial", "-0.5", "180deg"),   # divergent
+    ("cesaro", "-0.5", "180deg"),    # divergent
+])
+def test_sum_refuses_a_method_that_cannot_sum_the_row(capsys, method, n, phi):
+    code, out, err = run(capsys, "sum", "--kind", "cos", "--n", n,
+                         "--phi", phi, "--method", method)
+    assert code == 3
+    assert out == ""
+    assert "divergent" in err
+
+
+def test_table_partial_on_a_summable_only_row_is_nan(capsys):
+    code, out, _ = run(capsys, "table", "--kind", "cos", "--n", "-3", "--from", "30deg",
+                       "--to", "60deg", "--step", "30deg", "--methods", "partial,abel")
     assert code == 0
-    assert "warning" in err
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [row[2] for row in rows] == ["nan", "nan"]
+    assert all(math.isfinite(float(row[3])) for row in rows)
+
+
+def test_sum_abel_far_from_the_unit_scale(capsys):
+    # n = -20: the radial samples cancel terms up to 1e18 down to 1e-5
+    code, out, _ = run(capsys, "sum", "--kind", "cos", "--n", "-20", "--phi", "1",
+                       "--method", "abel", "--tol", "1e-6")
+    assert code == 0
+    assert out_fields(out)["within_tolerance"] == "true"
+
+
+def test_sum_abel_next_to_the_branch_point_exits_three(capsys):
+    code, out, err = run(capsys, "sum", "--kind", "cos", "--n", "-3",
+                         "--phi", "3.141591653589793", "--method", "abel")
+    assert code == 3
+    assert out == ""
+    assert "divergent" in err
 
 
 def test_sum_phase_requires_integer(capsys):

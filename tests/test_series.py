@@ -245,6 +245,14 @@ def test_abel_grid_matches_scalar_path():
             assert v == pytest.approx(abel_sum(SeriesSpec(COS, n, phi)).value, abs=1e-9)
 
 
+def test_abel_grid_of_a_terminating_row_is_the_row_sum():
+    from trigsum import abel_sum_grid
+    phis = [-2.0, 0.3, 1.1]
+    values, residuals, terms = abel_sum_grid(SIN, [3.0], phis)[3.0]
+    assert values.tolist() == [abel_sum(SeriesSpec(SIN, 3.0, phi)).value for phi in phis]
+    assert not residuals.any() and terms == 4
+
+
 def test_abel_grid_sine_is_odd():
     from trigsum import abel_sum_grid
     grid = abel_sum_grid(SIN, [-2.0], [-1.3, 1.3])

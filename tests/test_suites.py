@@ -50,6 +50,14 @@ def test_negative_integer_suite_coarse_grid():
     assert report.failed == 0
 
 
+def test_negative_integer_suite_half_degree_grid():
+    # angles between those of the default grid and of the shifted benchmark
+    # grids, up to 169.5 deg, where the Levin orders climb highest
+    report = run_suite("negative_integer", grid_step_deg=0.5)
+    assert report.total == 2 * 6 * 678
+    assert report.failed == 0
+
+
 def test_half_integer_suite_known_boundary_shortfall():
     # Six of the seven cases pass.  The plain-truncation case at the half
     # turn carries a 1e5-term budget whose true tail is 1.78e-3, outside
@@ -107,3 +115,13 @@ def test_batched_and_scalar_abel_agree():
     for rb, rs in zip(batched, scalar):
         assert rb.computed == pytest.approx(rs.computed, abs=1e-9)
         assert rb.passed and rs.passed
+
+
+def test_a_refused_grid_point_fails_alone():
+    # the grid engine refuses the branch point; the case beside it still passes
+    cases = [SuiteCase(SeriesSpec(SeriesKind.COSINE, -3.0, phi), SummationMethod.ABEL,
+                       ExpectedSource.CLOSED_FORM, tolerance=1e-6)
+             for phi in (1.0, math.pi - 1e-6)]
+    ok, refused = run_cases(cases)
+    assert ok.passed
+    assert not refused.passed and math.isnan(refused.computed)
