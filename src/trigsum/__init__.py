@@ -8,27 +8,23 @@ diverges, and ships a CLI (``trigsum``) that pits them against each other
 on angle grids.
 """
 
-from .binom import EXACT_INTEGER_LIMIT, binom_prefix, gen_binom, gen_binom_exact, is_integer_exponent
+from .binom import EXACT_INTEGER_LIMIT, binom_prefix, gen_binom, is_integer_exponent
 from .closed_forms import (
     CatalogEntry,
-    ClosedFormId,
     ClosedFormValue,
-    cos_closed,
     evaluate_closed,
     lambda_series_closed,
     quarter_turn_sum,
     reduced_neg_int,
-    sin_closed,
     special_value_catalog,
 )
 from .exceptions import (
     ConjugacyError,
     DivergentSeriesError,
     DomainError,
-    PoleError,
     TrigsumError,
 )
-from .phase import binomial_phase_power, half_angle_point, phase_point, series_at_phase
+from .phase import binomial_phase_power, phase_point, series_at_phase
 from .series import (
     DEFAULT_ABEL_RADII,
     DIVERGENCE_THRESHOLD,
@@ -41,12 +37,10 @@ from .series import (
     SummationResult,
     abel_sum,
     abel_sum_grid,
-    abel_terms_needed,
     cesaro_sum,
     classify,
     evaluate,
     partial_sum,
-    trig_values,
 )
 from .suites import (
     NEGATIVE_SUITE_RADII,

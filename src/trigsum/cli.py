@@ -7,7 +7,7 @@ row per angle with a column per method plus the closed form.
 
 Angles are accepted as ``90deg`` or ``1.5708rad``; a bare number means
 radians.  Exit codes: 0 success or all cases passed, 1 verification
-failures, 2 domain or pole error, 3 divergence, 64 usage, 74 I/O.
+failures, 2 domain error, 3 divergence, 64 usage, 74 I/O.
 """
 
 from __future__ import annotations

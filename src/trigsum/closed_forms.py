@@ -16,7 +16,6 @@ in extended precision rather than typed in as decimals.
 
 from __future__ import annotations
 
-import enum
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -25,23 +24,15 @@ from functools import lru_cache
 import mpmath as mp
 
 from .binom import is_integer_exponent
-from .exceptions import DomainError, PoleError
 from .series import SeriesKind, SeriesSpec, _at_half_turn
-
-
-class ClosedFormId(str, enum.Enum):
-    GENERAL_COS = "general_cos"
-    GENERAL_SIN = "general_sin"
-    REDUCED_NEG_INT = "reduced_neg_int"
-    QUARTER_TURN = "quarter_turn"
-    LAMBDA_SERIES = "lambda_series"
 
 
 @dataclass(frozen=True)
 class ClosedFormValue:
+    """A closed-form value; outside the form's domain it is nan with domain_ok False."""
+
     value: float
     domain_ok: bool
-    form_id: ClosedFormId
 
 
 def _ipow(base: float, exponent: int) -> float:
@@ -59,51 +50,26 @@ def _ipow(base: float, exponent: int) -> float:
     return result
 
 
-def _general(n: float, phi: float, sine: bool) -> float:
+def evaluate_closed(kind: SeriesKind, n: float, phi: float) -> ClosedFormValue:
+    """Product closed form of the ``kind`` series sum_k gen_binom(n,k) trig(k*phi).
+
+    Defined for every phi away from the half-turn poles for integer n, and
+    for phi in (-pi, pi) for fractional n; outside, it returns nan with
+    domain_ok False and raises nothing.
+    """
+    sine = SeriesKind(kind) is SeriesKind.SINE
     if is_integer_exponent(n):
-        ni = int(n)
-        if ni < 0 and _at_half_turn(phi):
-            raise PoleError(f"half-angle cosine vanishes at phi={phi} with n={n}")
         base = 2.0 * math.cos(0.5 * phi)
-        if ni < 0 and base == 0.0:
-            raise PoleError(f"half-angle cosine vanishes at phi={phi} with n={n}")
-        factor = _ipow(base, ni)
+        if n < 0 and (_at_half_turn(phi) or base == 0.0):
+            return ClosedFormValue(math.nan, False)
+        factor = _ipow(base, int(n))
     else:
-        if not -math.pi < phi < math.pi:
-            if n < 0 and _at_half_turn(phi):
-                raise PoleError(f"half-angle cosine vanishes at phi={phi} with n={n}")
-            raise DomainError(
-                f"fractional exponent needs phi in (-pi, pi), got phi={phi}")
-        base = 2.0 * math.cos(0.5 * phi)
+        base = 2.0 * math.cos(0.5 * phi) if -math.pi < phi < math.pi else 0.0
         if base <= 0.0:
-            raise DomainError(f"half-angle base {base!r} not positive at phi={phi}")
+            return ClosedFormValue(math.nan, False)
         factor = math.exp(n * math.log(base))
     half = 0.5 * n * phi
-    return factor * (math.sin(half) if sine else math.cos(half))
-
-
-def cos_closed(n: float, phi: float) -> ClosedFormValue:
-    """Closed form of sum_k gen_binom(n,k) cos(k*phi).
-
-    Integer n: valid for every phi away from the poles of negative powers.
-    Fractional n: restricted to phi in (-pi, pi).
-    """
-    return ClosedFormValue(_general(n, phi, sine=False), True, ClosedFormId.GENERAL_COS)
-
-
-def sin_closed(n: float, phi: float) -> ClosedFormValue:
-    """Closed form of sum_k gen_binom(n,k) sin(k*phi); same domain as cos_closed."""
-    return ClosedFormValue(_general(n, phi, sine=True), True, ClosedFormId.GENERAL_SIN)
-
-
-def evaluate_closed(kind: SeriesKind, n: float, phi: float) -> ClosedFormValue:
-    """Non-raising variant: domain exits come back as nan with domain_ok False."""
-    kind = SeriesKind(kind)
-    form = ClosedFormId.GENERAL_SIN if kind is SeriesKind.SINE else ClosedFormId.GENERAL_COS
-    try:
-        return ClosedFormValue(_general(n, phi, kind is SeriesKind.SINE), True, form)
-    except DomainError:
-        return ClosedFormValue(math.nan, False, form)
+    return ClosedFormValue(factor * (math.sin(half) if sine else math.cos(half)), True)
 
 
 def reduced_neg_int(m: int, phi: float) -> ClosedFormValue:
@@ -111,18 +77,19 @@ def reduced_neg_int(m: int, phi: float) -> ClosedFormValue:
 
     m = 1 collapses to the constant 1/2; the others divide a multiple-angle
     cosine by the matching power of the half-angle cosine.  Equal to
-    cos_closed(-m, phi) everywhere away from the poles.
+    evaluate_closed("cos", -m, phi) everywhere away from the poles, and
+    undefined like it at the half-turn.
     """
     if not 1 <= m <= 7:
         raise ValueError("m must be in 1..7")
     if _at_half_turn(phi):
-        raise PoleError(f"half-angle cosine vanishes at phi={phi}")
+        return ClosedFormValue(math.nan, False)
     h = math.cos(0.5 * phi)
     if m == 1:
         value = 0.5
     else:
         value = math.cos(0.5 * m * phi) / (2.0 ** m * h ** m)
-    return ClosedFormValue(value, True, ClosedFormId.REDUCED_NEG_INT)
+    return ClosedFormValue(value, True)
 
 
 def _quarter_turn_value(n: float) -> float:
@@ -151,7 +118,7 @@ def quarter_turn_sum(n: float) -> ClosedFormValue:
     This is the cosine series at a quarter turn, where odd-index terms
     drop out; its closed form is 2**(n/2) * cos(n * 45 degrees).
     """
-    return ClosedFormValue(_quarter_turn_value(n), True, ClosedFormId.QUARTER_TURN)
+    return ClosedFormValue(_quarter_turn_value(n), True)
 
 
 def lambda_series_closed(lam: float) -> ClosedFormValue:
@@ -161,7 +128,7 @@ def lambda_series_closed(lam: float) -> ClosedFormValue:
     which is the quarter-turn sum at exponent -lambda, and is computed as
     exactly that mirror.
     """
-    return ClosedFormValue(_quarter_turn_value(-float(lam)), True, ClosedFormId.LAMBDA_SERIES)
+    return ClosedFormValue(_quarter_turn_value(-float(lam)), True)
 
 
 # ----------------------------------------------------------------------

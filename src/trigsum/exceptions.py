@@ -6,15 +6,11 @@ class TrigsumError(Exception):
 
 
 class DomainError(TrigsumError):
-    """A closed-form expression was requested outside its real domain.
+    """An input lies outside the domain of the requested evaluation.
 
-    For fractional exponents the product form is only defined where the
-    half-angle cosine is positive, i.e. for angles inside (-pi, pi).
+    A series needs a finite exponent and angle, the phase path an integer
+    exponent in 0..64.  Closed forms never raise it: they return nan.
     """
-
-
-class PoleError(DomainError):
-    """The half-angle cosine vanishes and a negative power of it is needed."""
 
 
 class DivergentSeriesError(TrigsumError):

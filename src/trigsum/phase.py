@@ -28,11 +28,6 @@ def phase_point(phi: float) -> complex:
     return complex(math.cos(phi), math.sin(phi))
 
 
-def half_angle_point(phi: float) -> complex:
-    """Principal square root of the phase point, valid for phi in (-pi, pi)."""
-    return phase_point(0.5 * phi)
-
-
 def series_at_phase(coeffs, phi: float) -> tuple[float, float]:
     """Cosine and sine sums of a finite coefficient row via the phase pair.
 

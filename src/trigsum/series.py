@@ -129,6 +129,12 @@ def _at_full_turn(phi: float) -> bool:
     return _principal(phi) == 0.0
 
 
+def _zero_row(spec: SeriesSpec, conv: ConvergenceClass) -> bool:
+    """A non-terminating sine row at a half or full turn: every term is exactly zero."""
+    return (conv is not ConvergenceClass.FINITE and spec.kind is SeriesKind.SINE
+            and (_at_half_turn(spec.phi) or _at_full_turn(spec.phi)))
+
+
 def classify(spec: SeriesSpec) -> ConvergenceClass:
     """Convergence class of the series on the unit circle.
 
@@ -171,25 +177,23 @@ def trig_values(phi: float, count: int, kind: SeriesKind) -> np.ndarray:
     return rot.imag if kind is SeriesKind.SINE else rot.real
 
 
-def _effective_terms(spec: SeriesSpec, terms: int) -> int:
-    # all coefficients beyond k = n vanish exactly for nonnegative integer n
-    if is_integer_exponent(spec.n) and spec.n >= 0:
-        return min(terms, int(spec.n) + 1)
-    return terms
-
-
 def partial_sum(spec: SeriesSpec, terms: int) -> SummationResult:
     """Truncated sum of the first ``terms`` terms.
 
-    The residual estimate is the magnitude of the last included term.
+    The residual estimate is the magnitude of the last included term.  A
+    zero row (see ``_zero_row``) sums to 0 with residual 0 and no terms.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    count = _effective_terms(spec, terms)
+    conv = classify(spec)
+    if _zero_row(spec, conv):
+        return SummationResult(0.0, SummationMethod.PARTIAL, 0, 0.0, conv)
+    # all coefficients beyond k = n vanish exactly for a terminating row
+    count = min(terms, int(spec.n) + 1) if conv is ConvergenceClass.FINITE else terms
     ts = (binom_scan(spec.n, count) * trig_values(spec.phi, count, spec.kind)).tolist()
     value = math.fsum(ts)
     residual = abs(ts[-1]) if count == terms else 0.0
-    return SummationResult(value, SummationMethod.PARTIAL, count, residual, classify(spec))
+    return SummationResult(value, SummationMethod.PARTIAL, count, residual, conv)
 
 
 def cesaro_sum(spec: SeriesSpec, terms: int) -> SummationResult:
@@ -198,17 +202,21 @@ def cesaro_sum(spec: SeriesSpec, terms: int) -> SummationResult:
     The partial sums are np.cumsum of the terms, which adds in index order.
     The residual estimate compares the means of the last two windows of
     ceil(terms/4) partial sums; it stays large when the means oscillate,
-    which is the method's own signal that it has not settled.
+    which is the method's own signal that it has not settled.  A zero row
+    (see ``_zero_row``) sums to 0 with residual 0 and no terms.
     """
     if terms < 2:
         raise ValueError("terms must be >= 2")
+    conv = classify(spec)
+    if _zero_row(spec, conv):
+        return SummationResult(0.0, SummationMethod.CESARO, 0, 0.0, conv)
     partials = np.cumsum(binom_scan(spec.n, terms) * trig_values(spec.phi, terms, spec.kind))
     value = math.fsum(partials.tolist()) / terms
     w = -(-terms // 4)  # ceil
     last = math.fsum(partials[-w:].tolist()) / w
     prev = partials[-2 * w:-w]
     residual = abs(last - math.fsum(prev.tolist()) / prev.size)
-    return SummationResult(value, SummationMethod.CESARO, terms, residual, classify(spec))
+    return SummationResult(value, SummationMethod.CESARO, terms, residual, conv)
 
 
 # ----------------------------------------------------------------------
@@ -328,9 +336,10 @@ def abel_sum(spec: SeriesSpec, terms: int | None = None, radii=None) -> Summatio
     radius the terms dwarf their sum and plain doubles cannot cancel them
     accurately.
 
-    Raises DivergentSeriesError when the series has no radial limit, when
-    the Levin orders do not settle, or when a sample exceeds
-    DIVERGENCE_THRESHOLD.
+    A terminating row returns its own sum, and a zero row (see
+    ``_zero_row``) returns 0.  Raises DivergentSeriesError when the series
+    has no radial limit, when the Levin orders do not settle, or when a
+    sample exceeds DIVERGENCE_THRESHOLD.
     """
     radii = _validate_radii(DEFAULT_ABEL_RADII if radii is None else radii)
     conv = classify(spec)
@@ -347,6 +356,8 @@ def abel_sum(spec: SeriesSpec, terms: int | None = None, radii=None) -> Summatio
         # a terminating row is its own Abel value: its sum at r = 1
         row = partial_sum(spec, int(spec.n) + 1)
         return SummationResult(row.value, SummationMethod.ABEL, row.terms_used, 0.0, conv)
+    if _zero_row(spec, conv):
+        return SummationResult(0.0, SummationMethod.ABEL, 0, 0.0, conv)
     gap = 0.0
     if spec.n > -2.0:
         if terms is None:
@@ -375,7 +386,7 @@ def evaluate(spec: SeriesSpec, method: SummationMethod, terms: int | None = None
     Partial and Cesaro sums default to PARTIAL_TERM_BUDGET terms; ``radii``
     only reaches Abel summation.  Partial sums raise DivergentSeriesError
     on a summable-only or divergent series, Cesaro means on a divergent one
-    or for n <= -2.  The phase path reads the row off
+    or for n <= -2 unless it is a zero row.  The phase path reads the row off
     ``(1 + p)**n`` and raises DomainError unless n is an integer in 0..64.
     """
     method = SummationMethod(method)
@@ -385,7 +396,7 @@ def evaluate(spec: SeriesSpec, method: SummationMethod, terms: int | None = None
             raise DivergentSeriesError(f"partial sums do not settle for a {conv.value} series")
         return partial_sum(spec, terms or PARTIAL_TERM_BUDGET)
     if method is SummationMethod.CESARO:
-        if conv is ConvergenceClass.DIVERGENT or spec.n <= -2.0:
+        if conv is ConvergenceClass.DIVERGENT or (spec.n <= -2.0 and not _zero_row(spec, conv)):
             # at the half-turn with n < 0 the terms keep one sign; for
             # n <= -2 they grow like k**(-n - 1): (C,1) cannot average either
             raise DivergentSeriesError(f"no first-order Cesaro mean for a {conv.value} series"

@@ -16,11 +16,9 @@ import math
 import time
 from dataclasses import dataclass, replace
 
-from .binom import binom_prefix
+from .binom import binom_prefix, is_integer_exponent
 from .closed_forms import (
-    ClosedFormId,
     evaluate_closed,
-    lambda_series_closed,
     quarter_turn_sum,
     reduced_neg_int,
     special_value_catalog,
@@ -53,9 +51,6 @@ SUITE_NAMES = (
     "all",
 )
 
-# Fewer grouped cases than this are cheaper through the scalar path.
-_BATCH_MIN = 2
-
 
 class ExpectedSource(str, enum.Enum):
     CLOSED_FORM = "closed_form"
@@ -75,14 +70,19 @@ class SuiteCase:
     radii: tuple[float, ...] | None = None
     expected_literal: float | None = None
     expect_divergent: bool = False
-    reduced_m: int | None = None
-    closed_form: ClosedFormId | None = None
 
     def __post_init__(self):
         if self.tolerance < 0.0:
             raise ValueError("tolerance must be >= 0")
         if self.expected_source is ExpectedSource.LITERAL and not self.note:
             raise ValueError("literal expectations need a provenance note")
+        kind, n, phi = self.spec.kind, self.spec.n, self.spec.phi
+        # a reduced case computes reduced_neg_int(-n), a closed one quarter_turn_sum(n)
+        if self.method is SummationMethod.REDUCED and not (
+                kind is SeriesKind.COSINE and is_integer_exponent(n) and -7.0 <= n <= -1.0):
+            raise ValueError(f"a reduced case needs a cosine row with integer n in -7..-1: {self.spec}")
+        if self.method is SummationMethod.CLOSED and (kind is not SeriesKind.COSINE or phi != 0.5 * math.pi):
+            raise ValueError(f"a closed case needs the cosine row at a quarter turn: {self.spec}")
 
 
 @dataclass(frozen=True)
@@ -163,8 +163,7 @@ def _build_quarter_turn(step: float | None) -> list[SuiteCase]:
         cases.append(SuiteCase(
             spec=spec, method=SummationMethod.CLOSED,
             expected_source=ExpectedSource.LITERAL, tolerance=1e-15,
-            expected_literal=lit, closed_form=ClosedFormId.QUARTER_TURN,
-            note="quarter-turn closed value",
+            expected_literal=lit, note="quarter-turn closed value",
         ))
     return cases
 
@@ -189,7 +188,6 @@ def _build_negative_integer(step: float | None) -> list[SuiteCase]:
                 method=SummationMethod.REDUCED,
                 expected_source=ExpectedSource.CLOSED_FORM,
                 tolerance=1e-12,
-                reduced_m=m,
             ))
     return cases
 
@@ -234,8 +232,7 @@ def _build_lambda(step: float | None) -> list[SuiteCase]:
         cases.append(SuiteCase(
             spec=spec, method=SummationMethod.CLOSED,
             expected_source=ExpectedSource.LITERAL, tolerance=1e-14,
-            expected_literal=lit, closed_form=ClosedFormId.LAMBDA_SERIES,
-            note="quarter-turn family value",
+            expected_literal=lit, note="quarter-turn family value",
         ))
     return cases
 
@@ -306,13 +303,9 @@ def _expected_value(case: SuiteCase) -> float:
 def _computed_value(case: SuiteCase) -> float:
     spec = case.spec
     if case.method is SummationMethod.REDUCED:
-        return reduced_neg_int(case.reduced_m, spec.phi).value
+        return reduced_neg_int(int(-spec.n), spec.phi).value
     if case.method is SummationMethod.CLOSED:
-        if case.closed_form is ClosedFormId.QUARTER_TURN:
-            return quarter_turn_sum(spec.n).value
-        if case.closed_form is ClosedFormId.LAMBDA_SERIES:
-            return lambda_series_closed(-spec.n).value
-        return evaluate_closed(spec.kind, spec.n, spec.phi).value
+        return quarter_turn_sum(spec.n).value
     return evaluate(spec, case.method, case.terms, case.radii).value
 
 
@@ -322,15 +315,22 @@ def _judge(case: SuiteCase, computed: float, expected: float) -> CaseResult:
     return CaseResult(case, computed, expected, abs_error, passed)
 
 
-def _abel_batch_groups(cases: list[SuiteCase]):
-    """Indices of auto-budget Abel cases grouped by (kind, n, radii)."""
-    groups: dict[tuple, list[int]] = {}
+def _abel_grids(cases: list[SuiteCase]) -> dict[tuple, dict[float, list[int]]]:
+    """Auto-budget Abel cases as grids: (kind, radii, angles) -> {n: case indices}.
+
+    An exponent's angles are those of its own cases, so a case's grid, and
+    its value, do not depend on what other suites run beside it.
+    """
+    rows: dict[tuple, list[int]] = {}
     for i, case in enumerate(cases):
         if (case.method is SummationMethod.ABEL and not case.expect_divergent
                 and case.terms is None):
-            key = (case.spec.kind, case.spec.n, case.radii)
-            groups.setdefault(key, []).append(i)
-    return groups
+            rows.setdefault((case.spec.kind, case.spec.n, case.radii), []).append(i)
+    grids: dict[tuple, dict[float, list[int]]] = {}
+    for (kind, n, radii), idxs in rows.items():
+        phis = tuple(cases[i].spec.phi for i in idxs)
+        grids.setdefault((kind, radii, phis), {})[n] = idxs
+    return grids
 
 
 def run_cases(cases: list[SuiteCase], tolerance_override: float | None = None) -> list[CaseResult]:
@@ -339,19 +339,9 @@ def run_cases(cases: list[SuiteCase], tolerance_override: float | None = None) -
     computed: dict[int, float] = {}
 
     # batched Abel evaluation: share trig tables across exponents and radii
-    groups = _abel_batch_groups(cases)
-    by_radii: dict[tuple, dict[float, list[int]]] = {}
-    for (kind, n, radii), idxs in groups.items():
-        by_radii.setdefault((kind, radii), {})[n] = idxs
-    for (kind, radii), per_n in by_radii.items():
-        if sum(len(v) for v in per_n.values()) < _BATCH_MIN:
-            continue
-        phi_tuples = {tuple(cases[i].spec.phi for i in idxs) for idxs in per_n.values()}
-        if len(phi_tuples) != 1:
-            continue  # unequal grids, leave to the scalar path
-        phis = list(phi_tuples.pop())
+    for (kind, radii, phis), per_n in _abel_grids(cases).items():
         try:
-            grid_values = abel_sum_grid(kind, list(per_n), phis, radii)
+            grid_values = abel_sum_grid(kind, list(per_n), list(phis), radii)
         except DivergentSeriesError:
             continue  # judged case by case below, where the refused ones fail
         for n, idxs in per_n.items():

@@ -21,7 +21,6 @@ from trigsum import (
     SeriesKind,
     SeriesSpec,
     abel_sum,
-    abel_terms_needed,
 )
 from trigsum.binom import gen_binom_exact
 from trigsum.series import (
@@ -34,6 +33,7 @@ from trigsum.series import (
     _dd_trig_table,
     _extrapolate_radial,
     _levin_samples,
+    abel_terms_needed,
 )
 
 #: Largest term budget of the negative_integer suite (n = -6, r = 0.996).

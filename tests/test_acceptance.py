@@ -19,14 +19,13 @@ from trigsum import (
     binom_prefix,
     binomial_phase_power,
     classify,
-    cos_closed,
-    gen_binom_exact,
+    evaluate_closed,
     quarter_turn_sum,
     run_suite,
     series_at_phase,
-    sin_closed,
     special_value_catalog,
 )
+from trigsum.binom import gen_binom_exact
 from trigsum.series import SummationMethod
 
 _T0 = time.perf_counter()
@@ -115,8 +114,8 @@ def test_criterion_6_phase_path_equivalence():
         for phi in ONE_DEGREE_GRID:
             pc, ps = binomial_phase_power(n, phi)
             hc, hs = series_at_phase(coeffs, phi)
-            cc = cos_closed(n, phi).value
-            sc = sin_closed(n, phi).value
+            cc = evaluate_closed("cos", n, phi).value
+            sc = evaluate_closed("sin", n, phi).value
             err = max(abs(pc - hc), abs(ps - hs), abs(pc - cc), abs(ps - sc))
             worst = max(worst, err / bound)
             if err > bound:
@@ -131,8 +130,8 @@ def test_criterion_7_pythagorean_closure():
     for _ in range(10_000):
         n = rng.uniform(-3.0, 3.0)
         phi = rng.uniform(-3.0, 3.0)
-        c = cos_closed(n, phi).value
-        s = sin_closed(n, phi).value
+        c = evaluate_closed("cos", n, phi).value
+        s = evaluate_closed("sin", n, phi).value
         rhs = (2.0 * math.cos(0.5 * phi)) ** (2.0 * n)
         if abs(c * c + s * s - rhs) > 1e-10 * abs(rhs):
             ok = False

@@ -3,7 +3,8 @@ import math
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from trigsum import binom_prefix, gen_binom, gen_binom_exact, is_integer_exponent
+from trigsum import binom_prefix, gen_binom, is_integer_exponent
+from trigsum.binom import gen_binom_exact
 
 
 def test_identity_cases():

@@ -78,6 +78,20 @@ def test_sum_zero_exponent_sine(capsys):
     assert float(out_fields(out)["value"]) == 0.0
 
 
+@pytest.mark.parametrize("method", [None, "partial", "cesaro", "abel"])
+@pytest.mark.parametrize("phi", [math.pi, -math.pi, 2.0 * math.pi, 3.0 * math.pi])
+@pytest.mark.parametrize("n", ["-3", "-0.5", "2.5"])
+def test_sum_sine_row_at_a_half_or_full_turn_is_zero(capsys, n, phi, method):
+    # every term sin(k*phi) is zero; the rounded angle must not leak in
+    argv = ["sum", "--kind", "sin", "--n", n, "--phi", repr(phi)]
+    code, out, err = run(capsys, *argv + (["--method", method] if method else []))
+    assert (code, err) == (0, "")
+    fields = out_fields(out)
+    assert fields["value"] == "0"
+    assert fields["residual_estimate"] == "0"
+    assert fields["convergence"] == "absolutely_convergent"
+
+
 def test_sum_tolerance_comparison(capsys):
     code, out, _ = run(capsys, "sum", "--kind", "cos", "--n", "-3",
                        "--phi", "90deg", "--method", "abel", "--tol", "1e-6")

@@ -5,11 +5,9 @@ import pytest
 from trigsum import (
     binom_prefix,
     binomial_phase_power,
-    cos_closed,
-    half_angle_point,
+    evaluate_closed,
     phase_point,
     series_at_phase,
-    sin_closed,
 )
 
 GRID = [math.radians(d) for d in range(-179, 180, 3)]
@@ -104,7 +102,7 @@ def test_conjugate_reality_of_horner_path():
 def test_half_angle_factorisation():
     # 1 + p = (sqrt(p) + sqrt(q)) sqrt(p) on the principal branch
     for phi in GRID:
-        root = half_angle_point(phi)
+        root = phase_point(0.5 * phi)
         lhs = 1.0 + phase_point(phi)
         rhs = (root + root.conjugate()) * root
         assert abs(lhs.real - rhs.real) <= 1e-13
@@ -115,7 +113,7 @@ def test_moment_identity_half_integer_powers():
     # p^alpha + q^alpha = 2 cos(alpha phi) for alpha in half-integer steps,
     # with p^alpha built from integer powers of the half-angle point
     for phi in [math.radians(d) for d in range(-175, 176, 25)]:
-        root = half_angle_point(phi)
+        root = phase_point(0.5 * phi)
         for twice_alpha in range(1, 17):
             alpha = 0.5 * twice_alpha
             za = root ** twice_alpha
@@ -139,5 +137,5 @@ def test_path_agreement_with_closed_forms():
         bound = 1e-12 * 2.0 ** n
         for phi in GRID:
             pc, ps = binomial_phase_power(n, phi)
-            assert abs(pc - cos_closed(n, phi).value) <= bound
-            assert abs(ps - sin_closed(n, phi).value) <= bound
+            assert abs(pc - evaluate_closed("cos", n, phi).value) <= bound
+            assert abs(ps - evaluate_closed("sin", n, phi).value) <= bound

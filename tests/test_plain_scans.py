@@ -12,8 +12,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trigsum import SeriesKind, SeriesSpec, binom_prefix, cesaro_sum, partial_sum, trig_values
+from trigsum import SeriesKind, SeriesSpec, binom_prefix, cesaro_sum, partial_sum
 from trigsum.binom import binom_scan, gen_binom_exact
+from trigsum.series import trig_values
 
 TERMS = 100_000
 

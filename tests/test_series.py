@@ -14,14 +14,13 @@ from trigsum import (
     SeriesSpec,
     SummationMethod,
     abel_sum,
-    abel_terms_needed,
     binomial_phase_power,
     cesaro_sum,
     classify,
     evaluate,
     partial_sum,
-    trig_values,
 )
+from trigsum.series import abel_terms_needed, trig_values
 
 COS = SeriesKind.COSINE
 SIN = SeriesKind.SINE
@@ -184,6 +183,31 @@ def test_abel_sine_vanishes_at_half_turn():
     # every term is zero; no divergence signal for the sine family
     res = abel_sum(SeriesSpec(SIN, -0.5, math.pi))
     assert res.value == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [-6.0, -3.0, -0.5, 2.5])
+@pytest.mark.parametrize("phi", [math.pi, -math.pi, 2.0 * math.pi, 0.0])
+def test_non_terminating_sine_row_at_a_turn_sums_to_zero(n, phi):
+    # summing sin(k*fl(pi)) instead gives -2.9e-7 by Abel and -1530.8 by 10**5 terms at n = -3
+    spec = SeriesSpec(SIN, n, phi)
+    methods = (SummationMethod.PARTIAL, SummationMethod.CESARO, SummationMethod.ABEL)
+    direct = (partial_sum(spec, 10), cesaro_sum(spec, 10), abel_sum(spec))
+    for res in (*direct, *(evaluate(spec, m) for m in methods)):
+        assert (res.value, res.residual_estimate, res.terms_used) == (0.0, 0.0, 0)
+    # a term count is still checked
+    with pytest.raises(ValueError):
+        evaluate(spec, SummationMethod.PARTIAL, terms=-5)
+    with pytest.raises(ValueError):
+        evaluate(spec, SummationMethod.CESARO, terms=1)
+
+
+def test_terminating_sine_row_at_a_half_turn_keeps_the_row_sum():
+    spec = SeriesSpec(SIN, 3, math.pi)
+    row = partial_sum(spec, 4)
+    for m in (SummationMethod.PARTIAL, SummationMethod.ABEL):
+        res = evaluate(spec, m)
+        assert (res.value, res.terms_used) == (row.value, 4)
+    assert evaluate(spec, SummationMethod.CESARO).terms_used == PARTIAL_TERM_BUDGET
 
 
 def test_abel_radii_validation():

@@ -9,11 +9,12 @@ from trigsum import (
     SeriesSpec,
     SummationMethod,
     build_suite,
+    evaluate,
     report_lines,
     run_suite,
     write_report,
 )
-from trigsum.suites import run_cases
+from trigsum.suites import SUITE_NAMES, run_cases
 
 
 def test_suite_case_validation():
@@ -24,6 +25,22 @@ def test_suite_case_validation():
     with pytest.raises(ValueError):
         SuiteCase(spec, SummationMethod.PARTIAL, ExpectedSource.CLOSED_FORM,
                   tolerance=-1.0)
+
+
+@pytest.mark.parametrize("kind,n", [("cos", -2.5), ("cos", 0.0), ("cos", -8.0), ("sin", -3.0)])
+def test_reduced_case_needs_a_cosine_row_with_n_in_minus_7_to_minus_1(kind, n):
+    with pytest.raises(ValueError):
+        SuiteCase(SeriesSpec(kind, n, 1.0), SummationMethod.REDUCED,
+                  ExpectedSource.CLOSED_FORM, tolerance=1e-12)
+    SuiteCase(SeriesSpec("cos", -7.0, 1.0), SummationMethod.REDUCED,
+              ExpectedSource.CLOSED_FORM, tolerance=1e-12)
+
+
+@pytest.mark.parametrize("kind,phi", [("cos", 1.0), ("cos", -0.5 * math.pi), ("sin", 0.5 * math.pi)])
+def test_closed_case_needs_the_cosine_row_at_a_quarter_turn(kind, phi):
+    with pytest.raises(ValueError):
+        SuiteCase(SeriesSpec(kind, 2.0, phi), SummationMethod.CLOSED,
+                  ExpectedSource.CLOSED_FORM, tolerance=1e-12)
 
 
 def test_quarter_turn_suite_passes():
@@ -107,14 +124,24 @@ def test_report_file_format(tmp_path):
 
 
 def test_batched_and_scalar_abel_agree():
-    # same cases, batched in one run and scalar in the other
-    cases = build_suite("lambda")
-    abel_cases = [c for c in cases if c.method is SummationMethod.ABEL]
-    batched = run_cases(abel_cases)
-    scalar = [run_cases([c])[0] for c in abel_cases]
-    for rb, rs in zip(batched, scalar):
-        assert rb.computed == pytest.approx(rs.computed, abs=1e-9)
-        assert rb.passed and rs.passed
+    # the suite batches its Abel cases; evaluate sums each one alone
+    for name in ("lambda", "half_integer"):
+        abel_cases = [c for c in build_suite(name)
+                      if c.method is SummationMethod.ABEL and not c.expect_divergent]
+        for rb in run_cases(abel_cases):
+            scalar = evaluate(rb.case.spec, SummationMethod.ABEL, rb.case.terms, rb.case.radii).value
+            assert rb.computed == pytest.approx(scalar, abs=1e-9)
+            assert rb.passed
+            assert abs(scalar - rb.expected) <= rb.case.tolerance * (1.0 + abs(rb.expected))
+
+
+def test_a_case_computes_the_same_value_in_all_as_in_its_own_suite():
+    step = 10.0  # coarse grids; lambda and half_integer have none
+    combined = run_suite("all", grid_step_deg=step).results
+    own = [r for name in SUITE_NAMES[:-1] for r in run_suite(name, grid_step_deg=step).results]
+    assert [r.case for r in combined] == [r.case for r in own]
+    for ra, ro in zip(combined, own):
+        assert ra.computed == ro.computed or (math.isnan(ra.computed) and math.isnan(ro.computed)), ra.case
 
 
 def test_a_refused_grid_point_fails_alone():
