@@ -27,7 +27,7 @@ from .series import (
     classify,
     evaluate,
 )
-from .suites import SUITE_NAMES, run_suite, write_report
+from .suites import SUITE_NAMES, _num, run_suite, write_report
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -60,10 +60,6 @@ def parse_angle(text: str) -> float:
             f"bad angle {text!r}; write e.g. 90deg or 1.5708rad")
     value = float(m.group(1))
     return math.radians(value) if m.group(2) == "deg" else value
-
-
-def _num(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _default_method(conv: ConvergenceClass) -> SummationMethod:

@@ -51,10 +51,9 @@ _ABEL_CUT_LOG = math.log(1e-22)
 # Largest automatic Abel term budget before a radius counts as too close to 1.
 _MAX_ABEL_TERMS = 5_000_000
 
-# Most elements in one block of the Abel engine's trig table, coefficient
-# scan or term products, or in one chunk of a term budget.  Larger blocks
-# cost memory and, past about 2**13 elements, run the double-double
-# kernels slower per element.
+# Most elements in one block of the Abel engine's trig table or coefficient
+# scan, or in one chunk of a term budget.  Larger blocks cost memory and,
+# past about 2**13 elements, run the double-double kernels slower per element.
 _BLOCK_ELEMS = 2 ** 12
 
 
@@ -177,17 +176,34 @@ def trig_values(phi: float, count: int, kind: SeriesKind) -> np.ndarray:
     return rot.imag if kind is SeriesKind.SINE else rot.real
 
 
+def _row_value(spec: SeriesSpec, conv: ConvergenceClass,
+               method: SummationMethod) -> SummationResult | None:
+    """What a row sums to by ``method`` without summing it, or None.
+
+    A zero row (see ``_zero_row``) is 0, with residual 0 and no terms.  A
+    terminating row has constant partial sums from k = n on, so its Cesaro
+    mean and Abel value are its (n+1)-term sum with residual 0 (Hardy,
+    Divergent Series: regularity); partial sums still truncate it.
+    """
+    if _zero_row(spec, conv):
+        return SummationResult(0.0, method, 0, 0.0, conv)
+    if conv is ConvergenceClass.FINITE and method is not SummationMethod.PARTIAL:
+        row = partial_sum(spec, int(spec.n) + 1)
+        return SummationResult(row.value, method, row.terms_used, 0.0, conv)
+    return None
+
+
 def partial_sum(spec: SeriesSpec, terms: int) -> SummationResult:
     """Truncated sum of the first ``terms`` terms.
 
-    The residual estimate is the magnitude of the last included term.  A
-    zero row (see ``_zero_row``) sums to 0 with residual 0 and no terms.
+    The residual estimate is the magnitude of the last included term; a
+    row ``_row_value`` settles is not summed.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
     conv = classify(spec)
-    if _zero_row(spec, conv):
-        return SummationResult(0.0, SummationMethod.PARTIAL, 0, 0.0, conv)
+    if (row := _row_value(spec, conv, SummationMethod.PARTIAL)) is not None:
+        return row
     # all coefficients beyond k = n vanish exactly for a terminating row
     count = min(terms, int(spec.n) + 1) if conv is ConvergenceClass.FINITE else terms
     ts = (binom_scan(spec.n, count) * trig_values(spec.phi, count, spec.kind)).tolist()
@@ -202,14 +218,14 @@ def cesaro_sum(spec: SeriesSpec, terms: int) -> SummationResult:
     The partial sums are np.cumsum of the terms, which adds in index order.
     The residual estimate compares the means of the last two windows of
     ceil(terms/4) partial sums; it stays large when the means oscillate,
-    which is the method's own signal that it has not settled.  A zero row
-    (see ``_zero_row``) sums to 0 with residual 0 and no terms.
+    which is the method's own signal that it has not settled.  A row
+    ``_row_value`` settles is not summed.
     """
     if terms < 2:
         raise ValueError("terms must be >= 2")
     conv = classify(spec)
-    if _zero_row(spec, conv):
-        return SummationResult(0.0, SummationMethod.CESARO, 0, 0.0, conv)
+    if (row := _row_value(spec, conv, SummationMethod.CESARO)) is not None:
+        return row
     partials = np.cumsum(binom_scan(spec.n, terms) * trig_values(spec.phi, terms, spec.kind))
     value = math.fsum(partials.tolist()) / terms
     w = -(-terms // 4)  # ceil
@@ -329,17 +345,17 @@ def abel_sum(spec: SeriesSpec, terms: int | None = None, radii=None) -> Summatio
 
     ``radii`` must be strictly increasing inside (0, 1), at least three of
     them.  ``terms`` fixes a plain truncation per sample (enough that
-    r**terms < 1e-16).  By default exponents above -2 sum each sample in
-    plain doubles up to a term budget that pushes the neglected tail far
-    below the extrapolation error, and exponents at or below -2 take Levin
-    samples in double-double (see ``_levin_samples``): close to the unit
-    radius the terms dwarf their sum and plain doubles cannot cancel them
-    accurately.
+    r**terms < 1e-16), summed in double-double.  By default exponents above
+    -2 sum each sample in plain doubles up to a term budget that pushes the
+    neglected tail far below the extrapolation error, and exponents at or
+    below -2 take Levin samples in double-double (see ``_levin_samples``):
+    close to the unit radius the terms dwarf their sum and plain doubles
+    cannot cancel them accurately.  A row ``_row_value`` settles is not
+    summed.
 
-    A terminating row returns its own sum, and a zero row (see
-    ``_zero_row``) returns 0.  Raises DivergentSeriesError when the series
-    has no radial limit, when the Levin orders do not settle, or when a
-    sample exceeds DIVERGENCE_THRESHOLD.
+    Raises DivergentSeriesError when the series has no radial limit, when
+    the Levin orders do not settle, or when a sample exceeds
+    DIVERGENCE_THRESHOLD.
     """
     radii = _validate_radii(DEFAULT_ABEL_RADII if radii is None else radii)
     conv = classify(spec)
@@ -351,32 +367,30 @@ def abel_sum(spec: SeriesSpec, terms: int | None = None, radii=None) -> Summatio
             raise ValueError("terms must be >= 1")
         if max(radii) ** terms >= 1e-16:
             raise ValueError("terms too small: need r**terms < 1e-16 at the largest radius")
-        counts = [terms] * len(radii)
-    if conv is ConvergenceClass.FINITE:
-        # a terminating row is its own Abel value: its sum at r = 1
-        row = partial_sum(spec, int(spec.n) + 1)
-        return SummationResult(row.value, SummationMethod.ABEL, row.terms_used, 0.0, conv)
-    if _zero_row(spec, conv):
-        return SummationResult(0.0, SummationMethod.ABEL, 0, 0.0, conv)
+    if (row := _row_value(spec, conv, SummationMethod.ABEL)) is not None:
+        return row
     gap = 0.0
-    if spec.n > -2.0:
-        if terms is None:
-            counts = [_abel_term_count(spec.n, r) for r in radii]
+    if terms is not None:
+        # c_k trig(k phi) once, then r**k per radius
+        trig = _dd_trig_table(np.array([spec.phi]), terms)[_part(spec.kind)]
+        wh, wl = dd.mul(*_dd_coeff_arrays(spec.n, terms), *(t[:, 0] for t in trig))
+        del trig  # free the table before the per-radius products
+        samples = [_dd_reduce_axis0(*dd.mul(wh, wl, *_dd_power_arrays(r, terms))) for r in radii]
+        hi, lo = ([float(s[i]) for s in samples] for i in (0, 1))
+        used = terms
+    elif spec.n > -2.0:
+        counts = [_abel_term_count(spec.n, r) for r in radii]
         hi = [_abel_point_f64(spec.kind, spec.n, spec.phi, r, count)
               for r, count in zip(radii, counts)]
         lo = [0.0] * len(radii)
-    elif terms is None:
-        hi, lo, gap, order = _abel_point_dd(spec.kind, spec.n, spec.phi, radii)
-        counts = [order]
+        used = max(counts)
     else:
-        trig = _dd_trig_table(np.array([spec.phi]), terms)[_part(spec.kind)]
-        hi, lo = _dd_radial_samples(_dd_coeff_arrays(spec.n, terms), radii, counts, *trig)
-        hi, lo = hi[:, 0].tolist(), lo[:, 0].tolist()
+        hi, lo, gap, used = _abel_point_dd(spec.kind, spec.n, spec.phi, radii)
     if max(abs(h) for h in hi) > DIVERGENCE_THRESHOLD:
         raise DivergentSeriesError("radial samples grow without bound")
     value, correction = _extrapolate_radial(radii, hi, lo)
     residual = correction + gap * _neville_amplification(radii)
-    return SummationResult(value, SummationMethod.ABEL, max(counts), residual, conv)
+    return SummationResult(value, SummationMethod.ABEL, used, residual, conv)
 
 
 def evaluate(spec: SeriesSpec, method: SummationMethod, terms: int | None = None,
@@ -394,14 +408,14 @@ def evaluate(spec: SeriesSpec, method: SummationMethod, terms: int | None = None
     if method is SummationMethod.PARTIAL:
         if conv in (ConvergenceClass.SUMMABLE_ONLY, ConvergenceClass.DIVERGENT):
             raise DivergentSeriesError(f"partial sums do not settle for a {conv.value} series")
-        return partial_sum(spec, terms or PARTIAL_TERM_BUDGET)
+        return partial_sum(spec, PARTIAL_TERM_BUDGET if terms is None else terms)
     if method is SummationMethod.CESARO:
         if conv is ConvergenceClass.DIVERGENT or (spec.n <= -2.0 and not _zero_row(spec, conv)):
             # at the half-turn with n < 0 the terms keep one sign; for
             # n <= -2 they grow like k**(-n - 1): (C,1) cannot average either
             raise DivergentSeriesError(f"no first-order Cesaro mean for a {conv.value} series"
                                        f" with n={spec.n}")
-        return cesaro_sum(spec, terms or PARTIAL_TERM_BUDGET)
+        return cesaro_sum(spec, PARTIAL_TERM_BUDGET if terms is None else terms)
     if method is SummationMethod.ABEL:
         return abel_sum(spec, terms=terms, radii=radii)
     if method is SummationMethod.PHASE:
@@ -525,31 +539,6 @@ def _dd_reduce_axis0(th: np.ndarray, tl: np.ndarray):
     return th[0], tl[0]
 
 
-def _dd_radial_samples(coeffs, radii, counts, Th, Tl):
-    """sum_k c_k r**k T[k] per radius, in double-double, shape (radii, angles).
-
-    The plain truncation behind an explicit ``terms``.  ``coeffs`` is the
-    (hi, lo) coefficient table, ``counts`` the truncation per radius and
-    ``Th``, ``Tl`` one part of the trig table.  The term products and
-    their pairwise reduction run in row blocks of at most _BLOCK_ELEMS
-    elements, and the block sums are added in double-double.
-    """
-    co_h, co_l = coeffs
-    m = Th.shape[1]
-    rows = max(1, _BLOCK_ELEMS // m)
-    out_h = np.empty((len(counts), m))
-    out_l = np.empty((len(counts), m))
-    for j, (r, kr) in enumerate(zip(radii, counts)):
-        wh, wl = dd.mul(co_h[:kr], co_l[:kr], *_dd_power_arrays(r, kr))
-        acc_h, acc_l = np.zeros(m), np.zeros(m)
-        for start in range(0, kr, rows):
-            blk = slice(start, min(start + rows, kr))
-            th, tl = dd.mul(wh[blk, None], wl[blk, None], Th[blk], Tl[blk])
-            acc_h, acc_l = dd.add(acc_h, acc_l, *_dd_reduce_axis0(th, tl))
-        out_h[j], out_l[j] = acc_h, acc_l
-    return out_h, out_l
-
-
 # Levin's u transform (Levin 1973; Weniger 1989, sections 7-8) of the
 # complex series sum_k a_k with a_k = c_k w**k, w = r*exp(i*phi): with
 # partial sums s_j and omega_j = (j + 1) * a_j, order K is
@@ -651,7 +640,8 @@ def abel_sum_grid(kind: SeriesKind, ns, phis, radii=None) -> dict[float, tuple[n
     table shared across exponents and radii; this is the vectorized back
     end the verification suites use.  Returns, per exponent, the array of
     values aligned with ``phis``, the per-angle residual estimates, and
-    the largest Levin order used (the row length for a terminating row).
+    the largest Levin order or row length used.  The points ``_row_value``
+    settles take its value and stay out of the table.
 
     Every (n, phi) pair must be summable: grid points where the series
     diverges are the caller's job to exclude.
@@ -659,34 +649,40 @@ def abel_sum_grid(kind: SeriesKind, ns, phis, radii=None) -> dict[float, tuple[n
     kind = SeriesKind(kind)
     radii = _validate_radii(DEFAULT_ABEL_RADII if radii is None else radii)
     phis = np.asarray(phis, dtype=float)
-    ns = list(ns)
-    for n in ns:
-        for phi in phis:
-            spec = SeriesSpec(kind, n, float(phi))
-            if classify(spec) is ConvergenceClass.DIVERGENT:
+    settled: dict[float, list[SummationResult | None]] = {n: [] for n in ns}
+    for n, rows in settled.items():
+        for phi in phis.tolist():
+            spec = SeriesSpec(kind, n, phi)
+            if (conv := classify(spec)) is ConvergenceClass.DIVERGENT:
                 raise DivergentSeriesError(f"grid contains a divergent point: n={n} phi={phi}")
+            rows.append(_row_value(spec, conv, SummationMethod.ABEL))
 
-    # cos is even and sin is odd in phi, so tables are built on |phi| and
-    # the sine columns get the sign back afterwards; the float sequences
-    # are bit-identical to building each signed angle directly.
-    uniq, inverse = np.unique(np.abs(phis), return_inverse=True)
-    trig = _dd_trig_table(uniq, _LEVIN_ROWS)
-    amplification = _neville_amplification(radii)
+    # the rule leaves the same angles open for every exponent it does not settle
+    open_ = np.array(sorted({i for rows in settled.values() for i, row in enumerate(rows)
+                             if row is None}), dtype=int)
+    if open_.size:
+        # cos is even and sin is odd in phi, so tables are built on |phi|
+        # and the sine columns get the sign back afterwards; the float
+        # sequences are bit-identical to building each signed angle directly.
+        uniq, inverse = np.unique(np.abs(phis[open_]), return_inverse=True)
+        trig = _dd_trig_table(uniq, _LEVIN_ROWS)
+        sign = np.sign(phis[open_]) if kind is SeriesKind.SINE else 1.0
+        amplification = _neville_amplification(radii)
 
     out: dict[float, tuple[np.ndarray, np.ndarray, int]] = {}
-    for n in ns:
-        if is_integer_exponent(n) and n >= 0:
-            # a terminating row is its own Abel value, as in abel_sum
-            rows = [partial_sum(SeriesSpec(kind, n, phi), int(n) + 1).value for phi in phis.tolist()]
-            out[n] = (np.array(rows), np.zeros(len(phis)), int(n) + 1)
-            continue
-        sample_h, sample_l, gap, order = _levin_samples(kind, n, trig, radii)
-        if np.abs(sample_h).max() > DIVERGENCE_THRESHOLD:
-            raise DivergentSeriesError("radial samples grow without bound")
-        values, corrections = _extrapolate_radial(radii, sample_h, sample_l)
-        residuals = corrections + gap.max(axis=0) * amplification
-        values = values[inverse]
-        if kind is SeriesKind.SINE:
-            values = values * np.sign(phis)
-        out[n] = (values, residuals[inverse], int(order.max()))
+    for n, rows in settled.items():
+        values, residuals, used = np.zeros(len(phis)), np.zeros(len(phis)), 0
+        if None in rows:
+            sample_h, sample_l, gap, order = _levin_samples(kind, n, trig, radii)
+            if np.abs(sample_h).max() > DIVERGENCE_THRESHOLD:
+                raise DivergentSeriesError("radial samples grow without bound")
+            v, corrections = _extrapolate_radial(radii, sample_h, sample_l)
+            values[open_] = v[inverse] * sign
+            residuals[open_] = (corrections + gap.max(axis=0) * amplification)[inverse]
+            used = int(order.max())
+        for i, row in enumerate(rows):
+            if row is not None:
+                values[i], residuals[i] = row.value, row.residual_estimate
+                used = max(used, row.terms_used)
+        out[n] = (values, residuals, used)
     return out

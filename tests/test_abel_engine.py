@@ -7,6 +7,7 @@ plain loops the constructions replace.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -21,6 +22,7 @@ from trigsum import (
     SeriesKind,
     SeriesSpec,
     abel_sum,
+    evaluate_closed,
 )
 from trigsum.binom import gen_binom_exact
 from trigsum.series import (
@@ -157,6 +159,28 @@ def test_abel_explicit_terms_below_minus_two_truncate_in_double_double():
     res = abel_sum(spec, terms=7000)
     assert res.terms_used == 7000
     assert res.value == pytest.approx(abel_sum(spec).value, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(SeriesKind))
+@pytest.mark.parametrize("n", [-1.5, -0.5, 0.5])
+def test_abel_explicit_terms_above_minus_two_within_the_residual(kind, n):
+    for phi in (0.3, 1.0, 2.0, -2.5):
+        res = abel_sum(SeriesSpec(kind, n, phi), terms=6000)
+        assert res.terms_used == 6000
+        assert abs(res.value - evaluate_closed(kind, n, phi).value) <= res.residual_estimate
+
+
+@pytest.mark.parametrize("n", [-3.0, -0.5])
+def test_abel_explicit_terms_memory_peak_is_bounded(n):
+    spec = SeriesSpec("cos", n, 1.0)
+    abel_sum(spec, terms=10 ** 5)  # warm up
+    tracemalloc.start()
+    try:
+        abel_sum(spec, terms=10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 # ---------------------------------------------------------------- Neville tableau

@@ -112,6 +112,25 @@ def test_sum_abel_on_a_terminating_row_is_the_row_sum(capsys):
     assert fields["terms_used"] == "65"
 
 
+def test_sum_cesaro_on_a_terminating_row_is_the_row_sum(capsys):
+    # the mean of 10**5 constant partial sums read 78.68998 (error 1.1e-2)
+    code, out, _ = run(capsys, "sum", "--kind", "cos", "--n", "10",
+                       "--phi", "1", "--method", "cesaro", "--tol", "1e-6")
+    assert code == 0
+    fields = out_fields(out)
+    assert fields["within_tolerance"] == "true"
+    assert (fields["residual_estimate"], fields["terms_used"]) == ("0", "11")
+
+
+@pytest.mark.parametrize("method", ["partial", "cesaro", "abel"])
+def test_sum_zero_terms_is_a_usage_error(capsys, method):
+    # --terms 0 is a term count, not "use the default budget"
+    code, out, err = run(capsys, "sum", "--kind", "cos", "--n", "0.5",
+                         "--phi", "1", "--method", method, "--terms", "0")
+    assert code == 64
+    assert out == "" and "terms must be" in err
+
+
 def test_sum_abel_on_a_terminating_row_matches_partial(capsys):
     # 2**32 exactly; float64 cancellation in the row leaves 5.7e-8 relative
     code, abel, _ = run(capsys, "sum", "--kind", "cos", "--n", "64",

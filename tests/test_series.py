@@ -207,7 +207,20 @@ def test_terminating_sine_row_at_a_half_turn_keeps_the_row_sum():
     for m in (SummationMethod.PARTIAL, SummationMethod.ABEL):
         res = evaluate(spec, m)
         assert (res.value, res.terms_used) == (row.value, 4)
-    assert evaluate(spec, SummationMethod.CESARO).terms_used == PARTIAL_TERM_BUDGET
+    assert evaluate(spec, SummationMethod.CESARO).terms_used == 4
+
+
+@pytest.mark.parametrize("kind", [COS, SIN])
+@pytest.mark.parametrize("n", [0, 2, 10, 64])
+def test_cesaro_on_a_terminating_row_is_the_row_sum(kind, n):
+    # partial sums are constant from k = n on, so every (C,1) mean is the row sum
+    for phi in (0.0, 0.3, 1.0, 0.5 * math.pi, 2.9, math.pi, -2.0):
+        spec = SeriesSpec(kind, n, phi)
+        row = partial_sum(spec, n + 1)
+        for res in (cesaro_sum(spec, 100), evaluate(spec, SummationMethod.CESARO)):
+            assert res.value.hex() == row.value.hex()
+            assert (res.residual_estimate, res.terms_used) == (0.0, n + 1)
+            assert res.method is SummationMethod.CESARO
 
 
 def test_abel_radii_validation():
@@ -275,6 +288,23 @@ def test_abel_grid_of_a_terminating_row_is_the_row_sum():
     values, residuals, terms = abel_sum_grid(SIN, [3.0], phis)[3.0]
     assert values.tolist() == [abel_sum(SeriesSpec(SIN, 3.0, phi)).value for phi in phis]
     assert not residuals.any() and terms == 4
+
+
+def test_abel_grid_settles_zero_rows_and_keeps_them_out_of_the_table():
+    from trigsum import abel_sum_grid
+    ns = [-0.5, -1.5, -3.0, 3.0]
+    turns = [math.pi, -math.pi, 2.0 * math.pi, 0.0]
+    grid = abel_sum_grid(SIN, ns, [1.0, *turns])
+    alone = abel_sum_grid(SIN, ns, [1.0])
+    for n in ns:
+        values, residuals, terms = grid[n]
+        assert values[0].hex() == alone[n][0][0].hex()
+        assert residuals[0] == alone[n][1][0] and terms == alone[n][2]
+        if n < 0:
+            assert values[1:].tolist() == [0.0] * 4 and not residuals[1:].any()
+        else:
+            rows = [partial_sum(SeriesSpec(SIN, n, phi), 4).value for phi in turns]
+            assert values[1:].tolist() == rows and not residuals.any()
 
 
 def test_abel_grid_sine_is_odd():
