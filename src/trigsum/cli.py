@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Three subcommands: ``sum`` evaluates one series by a chosen method,
+Three subcommands: ``sum`` evaluates one series by a chosen method (by
+default partial sums, or Abel summation on a row they cannot sum),
 ``verify`` runs a named suite against the closed forms and can write a
 machine-readable report, ``table`` sweeps an angle range and prints one
 row per angle with a column per method plus the closed form.
@@ -19,14 +20,7 @@ import sys
 
 from .closed_forms import evaluate_closed
 from .exceptions import DivergentSeriesError, DomainError
-from .series import (
-    SUMMATION_METHODS,
-    ConvergenceClass,
-    SeriesSpec,
-    SummationMethod,
-    classify,
-    evaluate,
-)
+from .series import SUMMATION_METHODS, SeriesSpec, SummationMethod, evaluate
 from .suites import SUITE_NAMES, _num, run_suite, write_report
 
 EXIT_OK = 0
@@ -62,22 +56,19 @@ def parse_angle(text: str) -> float:
     return math.radians(value) if m.group(2) == "deg" else value
 
 
-def _default_method(conv: ConvergenceClass) -> SummationMethod:
-    if conv in (ConvergenceClass.SUMMABLE_ONLY, ConvergenceClass.DIVERGENT):
-        return SummationMethod.ABEL
-    return SummationMethod.PARTIAL
-
-
 def _cmd_sum(args) -> int:
     spec = SeriesSpec(args.kind, args.n, args.phi)
-    conv = classify(spec)
-    method = SummationMethod(args.method) if args.method else _default_method(conv)
-    res = evaluate(spec, method, terms=args.terms)
+    try:
+        res = evaluate(spec, args.method or SummationMethod.PARTIAL, terms=args.terms)
+    except DivergentSeriesError:
+        if args.method:
+            raise
+        res = evaluate(spec, SummationMethod.ABEL, terms=args.terms)
     print(f"value {_num(res.value)}")
-    print(f"method {method.value}")
+    print(f"method {res.method.value}")
     print(f"terms_used {res.terms_used}")
     print(f"residual_estimate {_num(res.residual_estimate)}")
-    print(f"convergence {conv.value}")
+    print(f"convergence {res.convergence.value}")
     if args.tol is not None:
         closed = evaluate_closed(spec.kind, spec.n, spec.phi)
         if closed.domain_ok:
@@ -107,7 +98,7 @@ def _cmd_verify(args) -> int:
 def _table_cell(method: str, spec: SeriesSpec, terms: int | None) -> float:
     try:
         return evaluate(spec, method, terms=terms).value
-    except (DomainError, DivergentSeriesError, ValueError):
+    except (DomainError, DivergentSeriesError):
         return math.nan
 
 
@@ -124,13 +115,15 @@ def _cmd_table(args) -> int:
         raise _UsageError("empty angle range: need from < to")
 
     count = int(math.floor((args.to_angle - args.from_angle) / args.step + 1e-9)) + 1
-    print("phi_deg,phi_rad," + ",".join(methods) + ",closed")
+    # printed only once every row is computed: a rejected input prints no rows
+    lines = ["phi_deg,phi_rad," + ",".join(methods) + ",closed"]
     for i in range(count):
         phi = args.from_angle + i * args.step
         spec = SeriesSpec(args.kind, args.n, phi)
         cells = [_table_cell(m, spec, args.terms) for m in methods]
         cells.append(evaluate_closed(spec.kind, spec.n, phi).value)
-        print(",".join([_num(math.degrees(phi)), _num(phi)] + [_num(c) for c in cells]))
+        lines.append(",".join([_num(math.degrees(phi)), _num(phi)] + [_num(c) for c in cells]))
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -13,10 +13,11 @@ Three methods are provided:
 * ``abel_sum``      -- radial samples ``f(r) = sum_k c_k r^k trig(k*phi)``
   extrapolated polynomially in ``1 - r`` to the unit radius.
 
-``evaluate`` dispatches one ``SummationMethod`` to these three or to the
-conjugate phase path of ``phase``.  All of them serve as summation
-oracles, deliberately independent of the product closed forms they are
-checked against.
+One rule, ``_settle``, decides for each of the three which rows it
+refuses and which it settles without summing.  ``evaluate`` dispatches one
+``SummationMethod`` to these three or to the conjugate phase path of
+``phase``.  All of them serve as summation oracles, deliberately
+independent of the product closed forms they are checked against.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ DIVERGENCE_THRESHOLD = 1e12
 # any tolerance the extrapolation can deliver.
 _ABEL_CUT_LOG = math.log(1e-22)
 
-# Largest automatic Abel term budget before a radius counts as too close to 1.
-_MAX_ABEL_TERMS = 5_000_000
+#: Most terms any route sums: the largest ``terms`` that ``evaluate`` accepts,
+#: and the largest automatic Abel budget before a radius counts as too close to 1.
+MAX_TERMS = 5_000_000
 
 # Most elements in one block of the Abel engine's trig table or coefficient
 # scan, or in one chunk of a term budget.  Larger blocks cost memory and,
@@ -176,37 +178,60 @@ def trig_values(phi: float, count: int, kind: SeriesKind) -> np.ndarray:
     return rot.imag if kind is SeriesKind.SINE else rot.real
 
 
-def _row_value(spec: SeriesSpec, conv: ConvergenceClass,
-               method: SummationMethod) -> SummationResult | None:
-    """What a row sums to by ``method`` without summing it, or None.
+def _term_array(spec: SeriesSpec, count: int) -> np.ndarray:
+    """The first ``count`` terms gen_binom(n, k) * trig(k*phi) in plain doubles."""
+    return binom_scan(spec.n, count) * trig_values(spec.phi, count, spec.kind)
 
-    A zero row (see ``_zero_row``) is 0, with residual 0 and no terms.  A
-    terminating row has constant partial sums from k = n on, so its Cesaro
-    mean and Abel value are its (n+1)-term sum with residual 0 (Hardy,
-    Divergent Series: regularity); partial sums still truncate it.
+
+#: Per method: the classes it cannot sum, and the exponent at or below which
+#: it sums no row but a zero row.  Partial sums grow without bound on
+#: summable-only and divergent rows; for n <= -2 the terms grow like
+#: k**(-n - 1), too fast for the (C,1) mean to settle.
+_CANNOT_SUM = {
+    SummationMethod.PARTIAL: ((ConvergenceClass.SUMMABLE_ONLY, ConvergenceClass.DIVERGENT), -math.inf),
+    SummationMethod.CESARO: ((ConvergenceClass.DIVERGENT,), -2.0),
+    SummationMethod.ABEL: ((ConvergenceClass.DIVERGENT,), -math.inf),
+}
+
+
+def _settle(spec: SeriesSpec, method: SummationMethod) -> tuple[ConvergenceClass, SummationResult | None]:
+    """The one rule for a row and a method: refuse it, settle it, or leave it to be summed.
+
+    Raises DivergentSeriesError when ``method`` cannot sum the row (see
+    _CANNOT_SUM).  Otherwise returns the row's class and the result of a
+    row that needs no summing, else None.  A zero row (see ``_zero_row``)
+    is 0, with residual 0 and no terms.  A terminating row has constant
+    partial sums from k = n on, so its Cesaro mean and Abel value are its
+    (n+1)-term sum with residual 0 (Hardy, Divergent Series: regularity);
+    partial sums still truncate it.
     """
+    conv = classify(spec)
     if _zero_row(spec, conv):
-        return SummationResult(0.0, method, 0, 0.0, conv)
+        return conv, SummationResult(0.0, method, 0, 0.0, conv)
+    classes, n_bound = _CANNOT_SUM[method]
+    if conv in classes or spec.n <= n_bound:
+        raise DivergentSeriesError(f"no {method.value} value for the {conv.value} row"
+                                   f" kind={spec.kind.value} n={spec.n} phi={spec.phi}")
     if conv is ConvergenceClass.FINITE and method is not SummationMethod.PARTIAL:
-        row = partial_sum(spec, int(spec.n) + 1)
-        return SummationResult(row.value, method, row.terms_used, 0.0, conv)
-    return None
+        count = int(spec.n) + 1
+        return conv, SummationResult(math.fsum(_term_array(spec, count).tolist()), method, count, 0.0, conv)
+    return conv, None
 
 
 def partial_sum(spec: SeriesSpec, terms: int) -> SummationResult:
     """Truncated sum of the first ``terms`` terms.
 
     The residual estimate is the magnitude of the last included term; a
-    row ``_row_value`` settles is not summed.
+    row ``_settle`` refuses raises, and a row it settles is not summed.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    conv = classify(spec)
-    if (row := _row_value(spec, conv, SummationMethod.PARTIAL)) is not None:
+    conv, row = _settle(spec, SummationMethod.PARTIAL)
+    if row is not None:
         return row
     # all coefficients beyond k = n vanish exactly for a terminating row
     count = min(terms, int(spec.n) + 1) if conv is ConvergenceClass.FINITE else terms
-    ts = (binom_scan(spec.n, count) * trig_values(spec.phi, count, spec.kind)).tolist()
+    ts = _term_array(spec, count).tolist()
     value = math.fsum(ts)
     residual = abs(ts[-1]) if count == terms else 0.0
     return SummationResult(value, SummationMethod.PARTIAL, count, residual, conv)
@@ -219,14 +244,14 @@ def cesaro_sum(spec: SeriesSpec, terms: int) -> SummationResult:
     The residual estimate compares the means of the last two windows of
     ceil(terms/4) partial sums; it stays large when the means oscillate,
     which is the method's own signal that it has not settled.  A row
-    ``_row_value`` settles is not summed.
+    ``_settle`` refuses raises, and a row it settles is not summed.
     """
     if terms < 2:
         raise ValueError("terms must be >= 2")
-    conv = classify(spec)
-    if (row := _row_value(spec, conv, SummationMethod.CESARO)) is not None:
+    conv, row = _settle(spec, SummationMethod.CESARO)
+    if row is not None:
         return row
-    partials = np.cumsum(binom_scan(spec.n, terms) * trig_values(spec.phi, terms, spec.kind))
+    partials = np.cumsum(_term_array(spec, terms))
     value = math.fsum(partials.tolist()) / terms
     w = -(-terms // 4)  # ceil
     last = math.fsum(partials[-w:].tolist()) / w
@@ -268,7 +293,7 @@ def _abel_term_count(n: float, r: float) -> int:
     kmin = abel_terms_needed((r,))
     nf = float(n)
     # a nonnegative integer exponent terminates: gen_binom(n, n + 1) == 0
-    last = _MAX_ABEL_TERMS
+    last = MAX_TERMS
     if is_integer_exponent(nf) and nf >= 0:
         last = min(int(nf), last)
     lc = 0.0  # log |gen_binom(n, start - 1)|
@@ -283,7 +308,7 @@ def _abel_term_count(n: float, r: float) -> int:
             return int(k[hit[0]]) + 1
         lc = float(logc[-1])
         start += k.size
-    if last < _MAX_ABEL_TERMS:
+    if last < MAX_TERMS:
         return last + 1  # terminating series
     raise ValueError(f"radius {r!r} too close to 1 for a feasible term budget")
 
@@ -350,24 +375,20 @@ def abel_sum(spec: SeriesSpec, terms: int | None = None, radii=None) -> Summatio
     neglected tail far below the extrapolation error, and exponents at or
     below -2 take Levin samples in double-double (see ``_levin_samples``):
     close to the unit radius the terms dwarf their sum and plain doubles
-    cannot cancel them accurately.  A row ``_row_value`` settles is not
-    summed.
+    cannot cancel them accurately.  A row ``_settle`` settles is not summed.
 
-    Raises DivergentSeriesError when the series has no radial limit, when
-    the Levin orders do not settle, or when a sample exceeds
-    DIVERGENCE_THRESHOLD.
+    Raises DivergentSeriesError on a row ``_settle`` refuses (one with no
+    radial limit), when the Levin orders do not settle, or when a sample
+    exceeds DIVERGENCE_THRESHOLD.
     """
     radii = _validate_radii(DEFAULT_ABEL_RADII if radii is None else radii)
-    conv = classify(spec)
-    if conv is ConvergenceClass.DIVERGENT:
-        raise DivergentSeriesError(
-            f"no Abel value for kind={spec.kind.value} n={spec.n} at phi={spec.phi}")
     if terms is not None:
         if terms < 1:
             raise ValueError("terms must be >= 1")
         if max(radii) ** terms >= 1e-16:
             raise ValueError("terms too small: need r**terms < 1e-16 at the largest radius")
-    if (row := _row_value(spec, conv, SummationMethod.ABEL)) is not None:
+    conv, row = _settle(spec, SummationMethod.ABEL)
+    if row is not None:
         return row
     gap = 0.0
     if terms is not None:
@@ -397,24 +418,19 @@ def evaluate(spec: SeriesSpec, method: SummationMethod, terms: int | None = None
              radii=None) -> SummationResult:
     """Sum ``spec`` by one of the ``SUMMATION_METHODS``.
 
-    Partial and Cesaro sums default to PARTIAL_TERM_BUDGET terms; ``radii``
-    only reaches Abel summation.  Partial sums raise DivergentSeriesError
-    on a summable-only or divergent series, Cesaro means on a divergent one
-    or for n <= -2 unless it is a zero row.  The phase path reads the row off
-    ``(1 + p)**n`` and raises DomainError unless n is an integer in 0..64.
+    Partial and Cesaro sums default to PARTIAL_TERM_BUDGET terms, and no
+    method takes more than MAX_TERMS (ValueError); ``radii`` only reaches
+    Abel summation.  The summation functions refuse a row they cannot sum
+    with DivergentSeriesError (see ``_settle``).  The phase path reads the
+    row off ``(1 + p)**n`` and raises DomainError unless n is an integer in
+    0..64.
     """
     method = SummationMethod(method)
-    conv = classify(spec)
+    if terms is not None and terms > MAX_TERMS:
+        raise ValueError(f"terms must be <= {MAX_TERMS}")
     if method is SummationMethod.PARTIAL:
-        if conv in (ConvergenceClass.SUMMABLE_ONLY, ConvergenceClass.DIVERGENT):
-            raise DivergentSeriesError(f"partial sums do not settle for a {conv.value} series")
         return partial_sum(spec, PARTIAL_TERM_BUDGET if terms is None else terms)
     if method is SummationMethod.CESARO:
-        if conv is ConvergenceClass.DIVERGENT or (spec.n <= -2.0 and not _zero_row(spec, conv)):
-            # at the half-turn with n < 0 the terms keep one sign; for
-            # n <= -2 they grow like k**(-n - 1): (C,1) cannot average either
-            raise DivergentSeriesError(f"no first-order Cesaro mean for a {conv.value} series"
-                                       f" with n={spec.n}")
         return cesaro_sum(spec, PARTIAL_TERM_BUDGET if terms is None else terms)
     if method is SummationMethod.ABEL:
         return abel_sum(spec, terms=terms, radii=radii)
@@ -424,7 +440,7 @@ def evaluate(spec: SeriesSpec, method: SummationMethod, terms: int | None = None
         except ValueError as exc:
             raise DomainError(f"phase path needs integer n in 0..64: {exc}") from exc
         value = sin_sum if spec.kind is SeriesKind.SINE else cos_sum
-        return SummationResult(value, method, int(spec.n) + 1, 0.0, conv)
+        return SummationResult(value, method, int(spec.n) + 1, 0.0, classify(spec))
     raise ValueError(f"{method.value!r} is not a summation method")
 
 
@@ -490,20 +506,15 @@ def _dd_coeff_arrays(n: float, count: int):
     """gen_binom(n, k) for k < count in double-double.
 
     A prefix-product scan of f_k = (n - k) / (k + 1), with n - k an exact
-    double-double difference: within each block of _BLOCK_ELEMS factors
-    log2(block) passes multiply every element by the one ``shift`` places
-    back, and the block's products are then scaled by the coefficient the
-    block starts from.
+    double-double difference: each block of _BLOCK_ELEMS factors is scanned
+    by ``_dd_scan_axis0`` with dd.mul, and the block's products are then
+    scaled by the coefficient the block starts from.
     """
     hi = np.ones(count)
     lo = np.zeros(count)
     for start in range(0, count - 1, _BLOCK_ELEMS):
         k = np.arange(start, min(start + _BLOCK_ELEMS, count - 1), dtype=float)
-        ph, pl = dd.div(*dd.add(n, 0.0, -k, 0.0), k + 1.0, 0.0)
-        shift = 1
-        while shift < k.size:
-            ph[shift:], pl[shift:] = dd.mul(ph[shift:], pl[shift:], ph[:-shift], pl[:-shift])
-            shift *= 2
+        ph, pl = _dd_scan_axis0(dd.mul, *dd.div(*dd.add(n, 0.0, -k, 0.0), k + 1.0, 0.0))
         block = slice(start + 1, start + 1 + k.size)
         hi[block], lo[block] = dd.mul(ph, pl, hi[start], lo[start])
     return hi, lo
@@ -568,11 +579,15 @@ def _levin_weights(order: int):
 _LEVIN_WEIGHTS = {order: _levin_weights(order) for order in _LEVIN_ORDERS}
 
 
-def _dd_scan_axis0(h: np.ndarray, l: np.ndarray):
-    """Running double-double sums along axis 0, in place, by log2(rows) doubling passes."""
+def _dd_scan_axis0(op, h: np.ndarray, l: np.ndarray):
+    """Running double-double sums (op=dd.add) or products (op=dd.mul) along axis 0.
+
+    In place, by log2(rows) doubling passes.  Callers pass ``op`` at call
+    time, so a rebound dd.add or dd.mul is the one used.
+    """
     shift = 1
     while shift < h.shape[0]:
-        h[shift:], l[shift:] = dd.add(h[shift:], l[shift:], h[:-shift], l[:-shift])
+        h[shift:], l[shift:] = op(h[shift:], l[shift:], h[:-shift], l[:-shift])
         shift *= 2
     return h, l
 
@@ -597,7 +612,7 @@ def _levin_samples(kind: SeriesKind, n: float, trig, radii):
     re, im = dd.mul(crh, crl, ch, cl), dd.mul(crh, crl, sh, sl)
     j1 = np.arange(1.0, rows + 1.0)[:, None, None]
     inv = dd.crecip(*dd.mul(*re, j1, 0.0), *dd.mul(*im, j1, 0.0))
-    sums = (*_dd_scan_axis0(*re), *_dd_scan_axis0(*im))
+    sums = (*_dd_scan_axis0(dd.add, *re), *_dd_scan_axis0(dd.add, *im))
     scale = np.maximum.accumulate(np.hypot(sums[0], sums[2]), axis=0)
     quot = dd.cmul(*sums, *inv)
     # numerator and denominator parts stacked on axis 1, samples flattened
@@ -640,22 +655,15 @@ def abel_sum_grid(kind: SeriesKind, ns, phis, radii=None) -> dict[float, tuple[n
     table shared across exponents and radii; this is the vectorized back
     end the verification suites use.  Returns, per exponent, the array of
     values aligned with ``phis``, the per-angle residual estimates, and
-    the largest Levin order or row length used.  The points ``_row_value``
-    settles take its value and stay out of the table.
-
-    Every (n, phi) pair must be summable: grid points where the series
-    diverges are the caller's job to exclude.
+    the largest Levin order or row length used.  ``_settle`` judges every
+    point: the points it settles take its value and stay out of the table,
+    and one it refuses (a divergent point) refuses the whole grid.
     """
     kind = SeriesKind(kind)
     radii = _validate_radii(DEFAULT_ABEL_RADII if radii is None else radii)
     phis = np.asarray(phis, dtype=float)
-    settled: dict[float, list[SummationResult | None]] = {n: [] for n in ns}
-    for n, rows in settled.items():
-        for phi in phis.tolist():
-            spec = SeriesSpec(kind, n, phi)
-            if (conv := classify(spec)) is ConvergenceClass.DIVERGENT:
-                raise DivergentSeriesError(f"grid contains a divergent point: n={n} phi={phi}")
-            rows.append(_row_value(spec, conv, SummationMethod.ABEL))
+    settled = {n: [_settle(SeriesSpec(kind, n, phi), SummationMethod.ABEL)[1] for phi in phis.tolist()]
+               for n in dict.fromkeys(ns)}
 
     # the rule leaves the same angles open for every exponent it does not settle
     open_ = np.array(sorted({i for rows in settled.values() for i, row in enumerate(rows)

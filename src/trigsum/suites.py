@@ -26,7 +26,6 @@ from .closed_forms import (
 from .exceptions import DivergentSeriesError, DomainError
 from .phase import series_at_phase
 from .series import (
-    PARTIAL_TERM_BUDGET,
     SeriesKind,
     SeriesSpec,
     SummationMethod,
@@ -66,7 +65,6 @@ class SuiteCase:
     expected_source: ExpectedSource
     tolerance: float
     note: str = ""
-    terms: int | None = None
     radii: tuple[float, ...] | None = None
     expected_literal: float | None = None
     expect_divergent: bool = False
@@ -142,7 +140,6 @@ def _build_finite_integer(step: float | None) -> list[SuiteCase]:
                     method=SummationMethod.PARTIAL,
                     expected_source=ExpectedSource.CLOSED_FORM,
                     tolerance=1e-10,
-                    terms=n + 1,
                 ))
     return cases
 
@@ -157,7 +154,7 @@ def _build_quarter_turn(step: float | None) -> list[SuiteCase]:
         cases.append(SuiteCase(
             spec=spec, method=SummationMethod.PARTIAL,
             expected_source=ExpectedSource.LITERAL, tolerance=1e-12,
-            terms=n + 1, expected_literal=lit,
+            expected_literal=lit,
             note="alternating even-index row sum",
         ))
         cases.append(SuiteCase(
@@ -206,7 +203,6 @@ def _build_half_integer(step: float | None) -> list[SuiteCase]:
             cases.append(SuiteCase(
                 spec=entry.spec, method=SummationMethod.PARTIAL,
                 expected_source=ExpectedSource.CATALOG, tolerance=1e-3,
-                terms=PARTIAL_TERM_BUDGET,
             ))
         else:
             cases.append(SuiteCase(
@@ -306,7 +302,7 @@ def _computed_value(case: SuiteCase) -> float:
         return reduced_neg_int(int(-spec.n), spec.phi).value
     if case.method is SummationMethod.CLOSED:
         return quarter_turn_sum(spec.n).value
-    return evaluate(spec, case.method, case.terms, case.radii).value
+    return evaluate(spec, case.method, radii=case.radii).value
 
 
 def _judge(case: SuiteCase, computed: float, expected: float) -> CaseResult:
@@ -323,8 +319,7 @@ def _abel_grids(cases: list[SuiteCase]) -> dict[tuple, dict[float, list[int]]]:
     """
     rows: dict[tuple, list[int]] = {}
     for i, case in enumerate(cases):
-        if (case.method is SummationMethod.ABEL and not case.expect_divergent
-                and case.terms is None):
+        if case.method is SummationMethod.ABEL and not case.expect_divergent:
             rows.setdefault((case.spec.kind, case.spec.n, case.radii), []).append(i)
     grids: dict[tuple, dict[float, list[int]]] = {}
     for (kind, n, radii), idxs in rows.items():
@@ -353,7 +348,7 @@ def run_cases(cases: list[SuiteCase], tolerance_override: float | None = None) -
     for i, case in enumerate(cases):
         if case.expect_divergent:
             try:
-                value = evaluate(case.spec, case.method, case.terms, case.radii).value
+                value = evaluate(case.spec, case.method, radii=case.radii).value
                 results.append(CaseResult(case, value, math.nan, math.nan, False))
             except DivergentSeriesError:
                 results.append(CaseResult(case, math.nan, math.nan, math.nan, True))

@@ -131,6 +131,44 @@ def test_sum_zero_terms_is_a_usage_error(capsys, method):
     assert out == "" and "terms must be" in err
 
 
+@pytest.mark.parametrize("method", [None, "partial", "cesaro", "abel"])
+def test_sum_zero_terms_on_a_refused_row_is_a_usage_error(capsys, method):
+    # the term count is checked before the row is judged (exit 3 before)
+    argv = ["sum", "--kind", "cos", "--n", "-0.5", "--phi", "180deg", "--terms", "0"]
+    code, out, err = run(capsys, *argv + (["--method", method] if method else []))
+    assert code == 64
+    assert out == "" and "terms must be" in err
+
+
+def test_sum_and_table_cap_the_term_count(capsys):
+    from trigsum.series import MAX_TERMS
+    terms = str(MAX_TERMS + 1)
+    code, out, err = run(capsys, "sum", "--kind", "cos", "--n", "0.5", "--phi", "1",
+                         "--method", "partial", "--terms", terms)
+    assert (code, out) == (64, "") and "terms must be <=" in err
+    code, out, err = run(capsys, "table", "--kind", "cos", "--n", "0.5", "--from", "0deg",
+                         "--to", "90deg", "--step", "45deg", "--methods", "abel", "--terms", terms)
+    assert (code, out) == (64, "") and "terms must be <=" in err
+
+
+@pytest.mark.parametrize("n,phi,method", [
+    ("-3", "90deg", "abel"),      # summable only: partial sums refused
+    ("-1.5", "1", "abel"),
+    ("0.5", "1", "partial"),      # convergent
+    ("3", "1", "partial"),        # terminating
+])
+def test_sum_without_method_falls_back_to_abel(capsys, n, phi, method):
+    code, out, _ = run(capsys, "sum", "--kind", "cos", "--n", n, "--phi", phi)
+    assert code == 0
+    assert out_fields(out)["method"] == method
+
+
+def test_sum_without_method_on_a_divergent_row_exits_three(capsys):
+    code, out, err = run(capsys, "sum", "--kind", "cos", "--n", "-0.5", "--phi", "180deg")
+    assert (code, out) == (3, "")
+    assert "divergent" in err
+
+
 def test_sum_abel_on_a_terminating_row_matches_partial(capsys):
     # 2**32 exactly; float64 cancellation in the row leaves 5.7e-8 relative
     code, abel, _ = run(capsys, "sum", "--kind", "cos", "--n", "64",
@@ -163,6 +201,15 @@ def test_sum_refuses_a_method_that_cannot_sum_the_row(capsys, method, n, phi):
     assert code == 3
     assert out == ""
     assert "divergent" in err
+
+
+def test_table_zero_terms_is_a_usage_error(capsys):
+    # a bad term count is not a refused method: no NaN cells, exit 64
+    code, out, err = run(capsys, "table", "--kind", "cos", "--n", "0.5", "--from", "0deg",
+                         "--to", "90deg", "--step", "45deg", "--methods", "partial,abel",
+                         "--terms", "0")
+    assert (code, out) == (64, "")
+    assert "terms must be" in err
 
 
 def test_table_partial_on_a_summable_only_row_is_nan(capsys):

@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trigsum import SeriesKind, SeriesSpec, binom_prefix, cesaro_sum, partial_sum
+from trigsum import DivergentSeriesError, SeriesKind, SeriesSpec, binom_prefix, cesaro_sum, partial_sum
 from trigsum.binom import binom_scan, gen_binom_exact
 from trigsum.series import trig_values
 
@@ -74,6 +74,12 @@ def test_binom_scan_keeps_the_exact_integer_branch():
         binom_scan(0.5, -1)
 
 
+#: A GOLDEN entry for a row the route refuses: partial sums of the
+#: summable-only rows n = -1 and -1.9 grow without bound (at n = -1.9,
+#: -100 deg they read 16440.07 with residual 32879.9).  The Cesaro entries at
+#: those exponents still pin the same binom_scan and trig_values bits.
+REFUSED = None
+
 #: (route, n, kind, angle in degrees) -> (value.hex(), residual_estimate.hex())
 #: at 10**5 terms, recorded from the per-term loops the scans replaced.
 GOLDEN = {
@@ -101,18 +107,18 @@ GOLDEN = {
     ("partial", -0.5, "sin", -100): ("0x1.7c976760c39e0p-2", "0x1.e00c874e9ff04p-48"),
     ("partial", -0.5, "sin", 35): ("-0x1.c68f170cb1047p-4", "0x1.4ab6989b6fce3p-10"),
     ("partial", -0.5, "sin", 117): ("-0x1.e7f7721a1c36fp-2", "0x1.a0b9183f69512p-10"),
-    ("partial", -1.0, "cos", -100): ("0x1.0000000000082p+0", "0x1.fffffffff6396p-1"),
-    ("partial", -1.0, "cos", 35): ("0x1.081c973ef4e92p-2", "0x1.6a09e667f7431p-1"),
-    ("partial", -1.0, "cos", 117): ("0x1.412a800000000p-37", "0x1.d0e2e2b473c62p-2"),
-    ("partial", -1.0, "sin", -100): ("0x1.4942000000000p-38", "0x1.06c2800000000p-38"),
-    ("partial", -1.0, "sin", 35): ("-0x1.3ecf9dea213d8p-1", "0x1.6a09e667e9d91p-1"),
-    ("partial", -1.0, "sin", 117): ("0x1.20a5000000000p-38", "0x1.c83201d3c5c0cp-1"),
-    ("partial", -1.9, "cos", -100): ("0x1.00e04bb4f0952p+14", "0x1.00dfcbbb852b9p+15"),
-    ("partial", -1.9, "cos", 35): ("-0x1.f1753987009c3p+12", "0x1.6b466526be079p+14"),
-    ("partial", -1.9, "cos", 117): ("-0x1.00e0a195d16c6p+14", "0x1.d2794a506934bp+13"),
-    ("partial", -1.9, "sin", -100): ("-0x1.321f0022926eep+14", "0x1.07a8348a394c0p-23"),
-    ("partial", -1.9, "sin", 35): ("-0x1.ddd26c2ef4d0fp+13", "0x1.6b466526b091ep+14"),
-    ("partial", -1.9, "sin", 117): ("0x1.a32bc4aef4714p+14", "0x1.c9c0d07137415p+14"),
+    ("partial", -1.0, "cos", -100): REFUSED,
+    ("partial", -1.0, "cos", 35): REFUSED,
+    ("partial", -1.0, "cos", 117): REFUSED,
+    ("partial", -1.0, "sin", -100): REFUSED,
+    ("partial", -1.0, "sin", 35): REFUSED,
+    ("partial", -1.0, "sin", 117): REFUSED,
+    ("partial", -1.9, "cos", -100): REFUSED,
+    ("partial", -1.9, "cos", 35): REFUSED,
+    ("partial", -1.9, "cos", 117): REFUSED,
+    ("partial", -1.9, "sin", -100): REFUSED,
+    ("partial", -1.9, "sin", 35): REFUSED,
+    ("partial", -1.9, "sin", 117): REFUSED,
     ("cesaro", 0.5, "cos", -100): ("0x1.0710c663297f6p+0", "0x1.d660000000000p-41"),
     ("cesaro", 0.5, "cos", 35): ("0x1.5d720f16baacap+0", "0x1.b680000000000p-42"),
     ("cesaro", 0.5, "cos", 117): ("0x1.c8a8647ec72e8p-1", "0x1.1140000000000p-42"),
@@ -156,7 +162,12 @@ _ROUTES = {"partial": partial_sum, "cesaro": cesaro_sum}
 
 @pytest.mark.parametrize("route,n,kind,deg", sorted(GOLDEN))
 def test_plain_routes_keep_their_pinned_doubles(route, n, kind, deg):
-    res = _ROUTES[route](SeriesSpec(kind, n, math.radians(deg)), TERMS)
+    spec = SeriesSpec(kind, n, math.radians(deg))
+    if GOLDEN[(route, n, kind, deg)] is REFUSED:
+        with pytest.raises(DivergentSeriesError):
+            _ROUTES[route](spec, TERMS)
+        return
+    res = _ROUTES[route](spec, TERMS)
     assert (res.value.hex(), res.residual_estimate.hex()) == GOLDEN[(route, n, kind, deg)]
 
 

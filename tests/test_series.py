@@ -99,10 +99,17 @@ def test_partial_termination_is_exact():
        st.floats(min_value=-3.2, max_value=3.2, allow_nan=False),
        st.integers(min_value=1, max_value=60))
 def test_partial_parity_is_exact(n, phi, terms):
-    assert (partial_sum(SeriesSpec(SIN, n, phi), terms).value
-            == -partial_sum(SeriesSpec(SIN, n, -phi), terms).value)
-    assert (partial_sum(SeriesSpec(COS, n, phi), terms).value
-            == partial_sum(SeriesSpec(COS, n, -phi), terms).value)
+    # mirrored values, or both rows refused (None)
+    def value(spec):
+        try:
+            return partial_sum(spec, terms).value
+        except DivergentSeriesError:
+            return None
+
+    sin = [value(SeriesSpec(SIN, n, angle)) for angle in (phi, -phi)]
+    cos = [value(SeriesSpec(COS, n, angle)) for angle in (phi, -phi)]
+    assert sin[0] == (None if sin[1] is None else -sin[1])
+    assert cos[0] == cos[1]
 
 
 def test_residual_is_last_included_term():
@@ -145,13 +152,12 @@ def test_cesaro_constant_series():
 
 def test_cesaro_first_order_mean_oscillates_for_n_minus_two():
     # the means of 1 - 3 + 5 - 7 + ... never settle: they swing between
-    # -1/2 and +1/2 with the truncation parity, so the first-order mean
-    # cannot deliver this series (its Abel value is 0) and callers are
-    # routed to abel_sum instead
-    low = cesaro_sum(SeriesSpec(COS, -2, 0.5 * math.pi), 2000)
-    high = cesaro_sum(SeriesSpec(COS, -2, 0.5 * math.pi), 1998)
-    assert low.value == pytest.approx(-0.5, abs=1e-3)
-    assert high.value == pytest.approx(0.5, abs=1e-3)
+    # -1/2 and +1/2 with the truncation parity (2000 and 1998 terms), so the
+    # first-order mean cannot deliver this series (its Abel value is 0):
+    # cesaro_sum refuses it and abel_sum sums it
+    for terms in (2000, 1998):
+        with pytest.raises(DivergentSeriesError):
+            cesaro_sum(SeriesSpec(COS, -2, 0.5 * math.pi), terms)
     abel = abel_sum(SeriesSpec(COS, -2, 0.5 * math.pi))
     assert abel.value == pytest.approx(0.0, abs=1e-8)
 
@@ -340,3 +346,59 @@ def test_evaluate_matches_direct_function(method, spec, direct):
 def test_evaluate_phase_outside_its_domain(n):
     with pytest.raises(DomainError):
         evaluate(SeriesSpec(COS, n, 1.0), SummationMethod.PHASE)
+
+
+# ------------------------------------------------------ refusal per method
+
+#: One row per case the refusal rule tells apart.
+ROWS = {
+    "finite": SeriesSpec(COS, 3, 1.0),
+    "absolutely_convergent": SeriesSpec(COS, 2.5, 1.0),
+    "conditionally_convergent": SeriesSpec(COS, -0.5, 2.0),
+    "summable_only": SeriesSpec(COS, -1.5, 1.0),
+    "summable_only_n_minus_three": SeriesSpec(COS, -3, 1.0),
+    "divergent": SeriesSpec(COS, -0.5, math.pi),
+    "divergent_n_minus_three": SeriesSpec(COS, -3, math.pi),
+    "zero_row_n_minus_three": SeriesSpec(SIN, -3, math.pi),
+}
+
+#: The rows each method refuses; it sums every other row.
+REFUSES = {
+    SummationMethod.PARTIAL: {"summable_only", "summable_only_n_minus_three",
+                              "divergent", "divergent_n_minus_three"},
+    SummationMethod.CESARO: {"summable_only_n_minus_three", "divergent", "divergent_n_minus_three"},
+    SummationMethod.ABEL: {"divergent", "divergent_n_minus_three"},
+}
+
+
+def _refused(call) -> bool:
+    try:
+        call()
+    except DivergentSeriesError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("row", sorted(ROWS))
+@pytest.mark.parametrize("method", list(REFUSES))
+def test_every_route_refuses_the_same_rows(method, row):
+    # the direct function, evaluate and (for Abel) a one-point grid agree
+    from trigsum import abel_sum_grid
+    spec = ROWS[row]
+    calls = {
+        SummationMethod.PARTIAL: [lambda: partial_sum(spec, 1000),
+                                  lambda: evaluate(spec, method, terms=1000)],
+        SummationMethod.CESARO: [lambda: cesaro_sum(spec, 1000),
+                                 lambda: evaluate(spec, method, terms=1000)],
+        SummationMethod.ABEL: [lambda: abel_sum(spec), lambda: evaluate(spec, method),
+                               lambda: abel_sum_grid(spec.kind, [spec.n], [spec.phi])],
+    }[method]
+    assert [_refused(call) for call in calls] == [row in REFUSES[method]] * len(calls)
+
+
+def test_evaluate_caps_the_term_count():
+    from trigsum.series import MAX_TERMS
+    spec = SeriesSpec(COS, 0.5, 1.0)
+    for method in (SummationMethod.PARTIAL, SummationMethod.CESARO, SummationMethod.ABEL):
+        with pytest.raises(ValueError, match="terms must be <="):
+            evaluate(spec, method, terms=MAX_TERMS + 1)

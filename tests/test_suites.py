@@ -129,7 +129,7 @@ def test_batched_and_scalar_abel_agree():
         abel_cases = [c for c in build_suite(name)
                       if c.method is SummationMethod.ABEL and not c.expect_divergent]
         for rb in run_cases(abel_cases):
-            scalar = evaluate(rb.case.spec, SummationMethod.ABEL, rb.case.terms, rb.case.radii).value
+            scalar = evaluate(rb.case.spec, SummationMethod.ABEL, radii=rb.case.radii).value
             assert rb.computed == pytest.approx(scalar, abs=1e-9)
             assert rb.passed
             assert abs(scalar - rb.expected) <= rb.case.tolerance * (1.0 + abs(rb.expected))
