@@ -57,6 +57,8 @@ def parse_angle(text: str) -> float:
 
 
 def _cmd_sum(args) -> int:
+    if args.tol is not None and not args.tol >= 0.0:  # NaN too
+        raise _UsageError(f"tol must be >= 0, got {args.tol}")
     spec = SeriesSpec(args.kind, args.n, args.phi)
     try:
         res = evaluate(spec, args.method or SummationMethod.PARTIAL, terms=args.terms)

@@ -53,9 +53,9 @@ _ABEL_CUT_LOG = math.log(1e-22)
 #: and the largest automatic Abel budget before a radius counts as too close to 1.
 MAX_TERMS = 5_000_000
 
-# Most elements in one block of the Abel engine's trig table or coefficient
-# scan, or in one chunk of a term budget.  Larger blocks cost memory and,
-# past about 2**13 elements, run the double-double kernels slower per element.
+# Most elements in one block of the Abel engine's trig table, or in one
+# chunk of a term budget.  Larger blocks cost memory and, past about 2**13
+# elements, run the double-double kernels slower per element.
 _BLOCK_ELEMS = 2 ** 12
 
 
@@ -202,7 +202,7 @@ def _settle(spec: SeriesSpec, method: SummationMethod) -> tuple[ConvergenceClass
     row that needs no summing, else None.  A zero row (see ``_zero_row``)
     is 0, with residual 0 and no terms.  A terminating row has constant
     partial sums from k = n on, so its Cesaro mean and Abel value are its
-    (n+1)-term sum with residual 0 (Hardy, Divergent Series: regularity);
+    whole sum (Hardy, Divergent Series: regularity; see ``_whole_row``);
     partial sums still truncate it.
     """
     conv = classify(spec)
@@ -213,16 +213,28 @@ def _settle(spec: SeriesSpec, method: SummationMethod) -> tuple[ConvergenceClass
         raise DivergentSeriesError(f"no {method.value} value for the {conv.value} row"
                                    f" kind={spec.kind.value} n={spec.n} phi={spec.phi}")
     if conv is ConvergenceClass.FINITE and method is not SummationMethod.PARTIAL:
-        count = int(spec.n) + 1
-        return conv, SummationResult(math.fsum(_term_array(spec, count).tolist()), method, count, 0.0, conv)
+        return conv, _whole_row(spec, method, conv)
     return conv, None
+
+
+def _whole_row(spec: SeriesSpec, method: SummationMethod, conv: ConvergenceClass) -> SummationResult:
+    """A terminating row summed through k = n, exactly rounded by math.fsum.
+
+    The error is the terms' own: their scans put up to about k units of
+    2**-53 on term k, so the residual is count * 2**-53 * sum_k |t_k|.
+    """
+    count = int(spec.n) + 1
+    ts = _term_array(spec, count).tolist()
+    residual = count * 2.0 ** -53 * math.fsum(map(abs, ts))
+    return SummationResult(math.fsum(ts), method, count, residual, conv)
 
 
 def partial_sum(spec: SeriesSpec, terms: int) -> SummationResult:
     """Truncated sum of the first ``terms`` terms.
 
-    The residual estimate is the magnitude of the last included term; a
-    row ``_settle`` refuses raises, and a row it settles is not summed.
+    The residual estimate is the magnitude of the last included term (see
+    ``_whole_row`` for a whole terminating row); a row ``_settle`` refuses
+    raises, and a row it settles is not summed.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
@@ -230,11 +242,10 @@ def partial_sum(spec: SeriesSpec, terms: int) -> SummationResult:
     if row is not None:
         return row
     # all coefficients beyond k = n vanish exactly for a terminating row
-    count = min(terms, int(spec.n) + 1) if conv is ConvergenceClass.FINITE else terms
-    ts = _term_array(spec, count).tolist()
-    value = math.fsum(ts)
-    residual = abs(ts[-1]) if count == terms else 0.0
-    return SummationResult(value, SummationMethod.PARTIAL, count, residual, conv)
+    if conv is ConvergenceClass.FINITE and terms > spec.n:
+        return _whole_row(spec, SummationMethod.PARTIAL, conv)
+    ts = _term_array(spec, terms).tolist()
+    return SummationResult(math.fsum(ts), SummationMethod.PARTIAL, terms, abs(ts[-1]), conv)
 
 
 def cesaro_sum(spec: SeriesSpec, terms: int) -> SummationResult:
@@ -291,16 +302,15 @@ def _abel_term_count(n: float, r: float) -> int:
     """
     logr = math.log(r)
     kmin = abel_terms_needed((r,))
-    nf = float(n)
     # a nonnegative integer exponent terminates: gen_binom(n, n + 1) == 0
     last = MAX_TERMS
-    if is_integer_exponent(nf) and nf >= 0:
-        last = min(int(nf), last)
+    if is_integer_exponent(n) and n >= 0:
+        last = min(int(n), last)
     lc = 0.0  # log |gen_binom(n, start - 1)|
     start = 1
     while start <= last:
         k = np.arange(start, min(start + _BLOCK_ELEMS, last + 1), dtype=float)
-        steps = np.log(np.abs(nf - (k - 1.0))) - np.log(k)
+        steps = np.log(np.abs(n - (k - 1.0))) - np.log(k)
         steps[0] += lc
         logc = np.cumsum(steps)
         (hit,) = np.nonzero((k >= kmin) & (logc + k * logr < _ABEL_CUT_LOG))
@@ -365,13 +375,25 @@ def _extrapolate_radial(radii, f_hi, f_lo):
     return t[0][0], abs(corr)
 
 
-def abel_sum(spec: SeriesSpec, terms: int | None = None, radii=None) -> SummationResult:
+def _radial_limit(radii, hi, lo, gap):
+    """Value and residual at r -> 1 of samples with errors up to ``gap``.
+
+    Samples are floats or arrays over angles, one per radius, as for
+    ``_extrapolate_radial``.  Raises DivergentSeriesError when one exceeds
+    DIVERGENCE_THRESHOLD.
+    """
+    if np.abs(hi).max() > DIVERGENCE_THRESHOLD:
+        raise DivergentSeriesError("radial samples grow without bound")
+    value, correction = _extrapolate_radial(radii, hi, lo)
+    return value, correction + gap * _neville_amplification(radii)
+
+
+def abel_sum(spec: SeriesSpec, radii=None) -> SummationResult:
     """Abel sum: radial samples extrapolated to the unit radius.
 
     ``radii`` must be strictly increasing inside (0, 1), at least three of
-    them.  ``terms`` fixes a plain truncation per sample (enough that
-    r**terms < 1e-16), summed in double-double.  By default exponents above
-    -2 sum each sample in plain doubles up to a term budget that pushes the
+    them.  The method picks its own term count: exponents above -2 sum
+    each sample in plain doubles up to a term budget that pushes the
     neglected tail far below the extrapolation error, and exponents at or
     below -2 take Levin samples in double-double (see ``_levin_samples``):
     close to the unit radius the terms dwarf their sum and plain doubles
@@ -382,35 +404,17 @@ def abel_sum(spec: SeriesSpec, terms: int | None = None, radii=None) -> Summatio
     exceeds DIVERGENCE_THRESHOLD.
     """
     radii = _validate_radii(DEFAULT_ABEL_RADII if radii is None else radii)
-    if terms is not None:
-        if terms < 1:
-            raise ValueError("terms must be >= 1")
-        if max(radii) ** terms >= 1e-16:
-            raise ValueError("terms too small: need r**terms < 1e-16 at the largest radius")
     conv, row = _settle(spec, SummationMethod.ABEL)
     if row is not None:
         return row
-    gap = 0.0
-    if terms is not None:
-        # c_k trig(k phi) once, then r**k per radius
-        trig = _dd_trig_table(np.array([spec.phi]), terms)[_part(spec.kind)]
-        wh, wl = dd.mul(*_dd_coeff_arrays(spec.n, terms), *(t[:, 0] for t in trig))
-        del trig  # free the table before the per-radius products
-        samples = [_dd_reduce_axis0(*dd.mul(wh, wl, *_dd_power_arrays(r, terms))) for r in radii]
-        hi, lo = ([float(s[i]) for s in samples] for i in (0, 1))
-        used = terms
-    elif spec.n > -2.0:
+    if spec.n > -2.0:
         counts = [_abel_term_count(spec.n, r) for r in radii]
         hi = [_abel_point_f64(spec.kind, spec.n, spec.phi, r, count)
               for r, count in zip(radii, counts)]
-        lo = [0.0] * len(radii)
-        used = max(counts)
+        lo, gap, used = [0.0] * len(radii), 0.0, max(counts)
     else:
         hi, lo, gap, used = _abel_point_dd(spec.kind, spec.n, spec.phi, radii)
-    if max(abs(h) for h in hi) > DIVERGENCE_THRESHOLD:
-        raise DivergentSeriesError("radial samples grow without bound")
-    value, correction = _extrapolate_radial(radii, hi, lo)
-    residual = correction + gap * _neville_amplification(radii)
+    value, residual = _radial_limit(radii, hi, lo, gap)
     return SummationResult(value, SummationMethod.ABEL, used, residual, conv)
 
 
@@ -418,30 +422,32 @@ def evaluate(spec: SeriesSpec, method: SummationMethod, terms: int | None = None
              radii=None) -> SummationResult:
     """Sum ``spec`` by one of the ``SUMMATION_METHODS``.
 
-    Partial and Cesaro sums default to PARTIAL_TERM_BUDGET terms, and no
-    method takes more than MAX_TERMS (ValueError); ``radii`` only reaches
-    Abel summation.  The summation functions refuse a row they cannot sum
-    with DivergentSeriesError (see ``_settle``).  The phase path reads the
-    row off ``(1 + p)**n`` and raises DomainError unless n is an integer in
-    0..64.
+    Partial and Cesaro sums default to PARTIAL_TERM_BUDGET terms and take
+    at most MAX_TERMS; Abel summation and the phase path pick their own
+    count.  A ``terms`` they cannot take raises ValueError.  ``radii`` only
+    reaches Abel summation.  The summation functions refuse a row they
+    cannot sum with DivergentSeriesError (see ``_settle``).  The phase
+    path reads the row off ``(1 + p)**n`` and raises DomainError unless n
+    is an integer in 0..64.
     """
     method = SummationMethod(method)
+    if method not in SUMMATION_METHODS:
+        raise ValueError(f"{method.value!r} is not a summation method")
     if terms is not None and terms > MAX_TERMS:
         raise ValueError(f"terms must be <= {MAX_TERMS}")
-    if method is SummationMethod.PARTIAL:
-        return partial_sum(spec, PARTIAL_TERM_BUDGET if terms is None else terms)
-    if method is SummationMethod.CESARO:
-        return cesaro_sum(spec, PARTIAL_TERM_BUDGET if terms is None else terms)
+    if method in (SummationMethod.PARTIAL, SummationMethod.CESARO):
+        summed = partial_sum if method is SummationMethod.PARTIAL else cesaro_sum
+        return summed(spec, PARTIAL_TERM_BUDGET if terms is None else terms)
+    if terms is not None:
+        raise ValueError(f"terms must be left out: {method.value} picks its own count")
     if method is SummationMethod.ABEL:
-        return abel_sum(spec, terms=terms, radii=radii)
-    if method is SummationMethod.PHASE:
-        try:
-            cos_sum, sin_sum = binomial_phase_power(spec.n, spec.phi)
-        except ValueError as exc:
-            raise DomainError(f"phase path needs integer n in 0..64: {exc}") from exc
-        value = sin_sum if spec.kind is SeriesKind.SINE else cos_sum
-        return SummationResult(value, method, int(spec.n) + 1, 0.0, classify(spec))
-    raise ValueError(f"{method.value!r} is not a summation method")
+        return abel_sum(spec, radii=radii)
+    try:
+        cos_sum, sin_sum = binomial_phase_power(spec.n, spec.phi)
+    except ValueError as exc:
+        raise DomainError(f"phase path needs integer n in 0..64: {exc}") from exc
+    value = sin_sum if spec.kind is SeriesKind.SINE else cos_sum
+    return SummationResult(value, method, int(spec.n) + 1, 0.0, classify(spec))
 
 
 # ----------------------------------------------------------------------
@@ -505,19 +511,12 @@ def _part(kind: SeriesKind) -> slice:
 def _dd_coeff_arrays(n: float, count: int):
     """gen_binom(n, k) for k < count in double-double.
 
-    A prefix-product scan of f_k = (n - k) / (k + 1), with n - k an exact
-    double-double difference: each block of _BLOCK_ELEMS factors is scanned
-    by ``_dd_scan_axis0`` with dd.mul, and the block's products are then
-    scaled by the coefficient the block starts from.
+    A prefix-product scan (``_dd_scan_axis0`` with dd.mul) of the factors
+    f_k = (n - k) / (k + 1), with n - k an exact double-double difference.
     """
-    hi = np.ones(count)
-    lo = np.zeros(count)
-    for start in range(0, count - 1, _BLOCK_ELEMS):
-        k = np.arange(start, min(start + _BLOCK_ELEMS, count - 1), dtype=float)
-        ph, pl = _dd_scan_axis0(dd.mul, *dd.div(*dd.add(n, 0.0, -k, 0.0), k + 1.0, 0.0))
-        block = slice(start + 1, start + 1 + k.size)
-        hi[block], lo[block] = dd.mul(ph, pl, hi[start], lo[start])
-    return hi, lo
+    k = np.arange(count - 1, dtype=float)
+    ph, pl = _dd_scan_axis0(dd.mul, *dd.div(*dd.add(n, 0.0, -k, 0.0), k + 1.0, 0.0))
+    return np.concatenate(([1.0], ph)), np.concatenate(([0.0], pl))
 
 
 def _dd_power_arrays(r, count: int):
@@ -675,18 +674,14 @@ def abel_sum_grid(kind: SeriesKind, ns, phis, radii=None) -> dict[float, tuple[n
         uniq, inverse = np.unique(np.abs(phis[open_]), return_inverse=True)
         trig = _dd_trig_table(uniq, _LEVIN_ROWS)
         sign = np.sign(phis[open_]) if kind is SeriesKind.SINE else 1.0
-        amplification = _neville_amplification(radii)
 
     out: dict[float, tuple[np.ndarray, np.ndarray, int]] = {}
     for n, rows in settled.items():
         values, residuals, used = np.zeros(len(phis)), np.zeros(len(phis)), 0
         if None in rows:
             sample_h, sample_l, gap, order = _levin_samples(kind, n, trig, radii)
-            if np.abs(sample_h).max() > DIVERGENCE_THRESHOLD:
-                raise DivergentSeriesError("radial samples grow without bound")
-            v, corrections = _extrapolate_radial(radii, sample_h, sample_l)
-            values[open_] = v[inverse] * sign
-            residuals[open_] = (corrections + gap.max(axis=0) * amplification)[inverse]
+            v, r = _radial_limit(radii, sample_h, sample_l, gap.max(axis=0))
+            values[open_], residuals[open_] = v[inverse] * sign, r[inverse]
             used = int(order.max())
         for i, row in enumerate(rows):
             if row is not None:

@@ -70,8 +70,8 @@ class SuiteCase:
     expect_divergent: bool = False
 
     def __post_init__(self):
-        if self.tolerance < 0.0:
-            raise ValueError("tolerance must be >= 0")
+        if not self.tolerance >= 0.0:  # NaN too
+            raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
         if self.expected_source is ExpectedSource.LITERAL and not self.note:
             raise ValueError("literal expectations need a provenance note")
         kind, n, phi = self.spec.kind, self.spec.n, self.spec.phi
@@ -264,6 +264,8 @@ _BUILDERS = {
 
 
 def build_suite(name: str, grid_step_deg: float | None = None) -> list[SuiteCase]:
+    if grid_step_deg is not None and not 0.0 < grid_step_deg < math.inf:
+        raise ValueError(f"grid step must be a positive finite number of degrees, got {grid_step_deg}")
     if name == "all":
         cases = []
         for sub in SUITE_NAMES[:-1]:

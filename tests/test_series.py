@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trigsum import (
-    DEFAULT_ABEL_RADII,
     PARTIAL_TERM_BUDGET,
     ConvergenceClass,
     DivergentSeriesError,
@@ -20,7 +19,7 @@ from trigsum import (
     evaluate,
     partial_sum,
 )
-from trigsum.series import abel_terms_needed, trig_values
+from trigsum.series import trig_values
 
 COS = SeriesKind.COSINE
 SIN = SeriesKind.SINE
@@ -225,7 +224,7 @@ def test_cesaro_on_a_terminating_row_is_the_row_sum(kind, n):
         row = partial_sum(spec, n + 1)
         for res in (cesaro_sum(spec, 100), evaluate(spec, SummationMethod.CESARO)):
             assert res.value.hex() == row.value.hex()
-            assert (res.residual_estimate, res.terms_used) == (0.0, n + 1)
+            assert (res.residual_estimate, res.terms_used) == (row.residual_estimate, n + 1)
             assert res.method is SummationMethod.CESARO
 
 
@@ -239,15 +238,6 @@ def test_abel_radii_validation():
         abel_sum(spec, radii=(0.5, 0.6))
     with pytest.raises(ValueError):
         abel_sum(spec, radii=(-0.1, 0.5, 0.9))
-
-
-def test_abel_explicit_terms_must_cover_largest_radius():
-    spec = SeriesSpec(COS, -0.5, 1.0)
-    with pytest.raises(ValueError):
-        abel_sum(spec, terms=100)
-    needed = abel_terms_needed(DEFAULT_ABEL_RADII)
-    res = abel_sum(spec, terms=needed + 10)
-    assert res.terms_used == needed + 10
 
 
 def test_abel_consistency_with_partial_sums():
@@ -292,8 +282,9 @@ def test_abel_grid_of_a_terminating_row_is_the_row_sum():
     from trigsum import abel_sum_grid
     phis = [-2.0, 0.3, 1.1]
     values, residuals, terms = abel_sum_grid(SIN, [3.0], phis)[3.0]
-    assert values.tolist() == [abel_sum(SeriesSpec(SIN, 3.0, phi)).value for phi in phis]
-    assert not residuals.any() and terms == 4
+    rows = [abel_sum(SeriesSpec(SIN, 3.0, phi)) for phi in phis]
+    assert values.tolist() == [row.value for row in rows]
+    assert residuals.tolist() == [row.residual_estimate for row in rows] and terms == 4
 
 
 def test_abel_grid_settles_zero_rows_and_keeps_them_out_of_the_table():
@@ -309,8 +300,9 @@ def test_abel_grid_settles_zero_rows_and_keeps_them_out_of_the_table():
         if n < 0:
             assert values[1:].tolist() == [0.0] * 4 and not residuals[1:].any()
         else:
-            rows = [partial_sum(SeriesSpec(SIN, n, phi), 4).value for phi in turns]
-            assert values[1:].tolist() == rows and not residuals.any()
+            rows = [partial_sum(SeriesSpec(SIN, n, phi), 4) for phi in turns]
+            assert values[1:].tolist() == [row.value for row in rows]
+            assert residuals[1:].tolist() == [row.residual_estimate for row in rows]
 
 
 def test_abel_grid_sine_is_odd():
@@ -402,3 +394,29 @@ def test_evaluate_caps_the_term_count():
     for method in (SummationMethod.PARTIAL, SummationMethod.CESARO, SummationMethod.ABEL):
         with pytest.raises(ValueError, match="terms must be <="):
             evaluate(spec, method, terms=MAX_TERMS + 1)
+
+
+@pytest.mark.parametrize("method", [SummationMethod.ABEL, SummationMethod.PHASE])
+@pytest.mark.parametrize("terms", [1, 5, 5000])
+def test_evaluate_refuses_a_term_count_for_a_method_that_picks_its_own(method, terms):
+    # the phase path printed terms_used 4 for n = 3 whatever terms said
+    for spec in (SeriesSpec(COS, 3, 1.0), SeriesSpec(SIN, -3, 1.0)):
+        with pytest.raises(ValueError, match="terms must be left out"):
+            evaluate(spec, method, terms=terms)
+
+
+# ------------------------------------------------ terminating-row residual
+
+@pytest.mark.parametrize("kind", [COS, SIN])
+@pytest.mark.parametrize("n,phi", [(64, math.pi), (64, math.radians(179.0)), (200, 1.0)])
+def test_terminating_row_residual_bounds_its_rounding_error(kind, n, phi):
+    # at n = 64 and phi = pi the cosine row cancels terms up to C(64, 32) to
+    # about 1e-1018; it summed to 138 with residual 0
+    with mp.workdps(80):
+        row = (1 + mp.expj(mp.mpf(phi))) ** n
+        exact = row.imag if kind is SIN else row.real
+    spec = SeriesSpec(kind, n, phi)
+    methods = (SummationMethod.PARTIAL, SummationMethod.CESARO, SummationMethod.ABEL)
+    for res in (partial_sum(spec, n + 1), *(evaluate(spec, m) for m in methods)):
+        assert res.terms_used == n + 1 and res.residual_estimate > 0.0
+        assert abs(res.value - exact) <= res.residual_estimate

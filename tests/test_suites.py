@@ -1,7 +1,13 @@
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trigsum
 from trigsum import (
     ExpectedSource,
     SeriesKind,
@@ -152,3 +158,30 @@ def test_a_refused_grid_point_fails_alone():
     ok, refused = run_cases(cases)
     assert ok.passed
     assert not refused.passed and math.isnan(refused.computed)
+
+
+def test_suite_case_rejects_a_nan_tolerance():
+    with pytest.raises(ValueError, match="tolerance must be >= 0"):
+        SuiteCase(SeriesSpec(SeriesKind.COSINE, 1.0, 0.5), SummationMethod.PARTIAL,
+                  ExpectedSource.CLOSED_FORM, tolerance=math.nan)
+
+
+def _cap_child_memory():
+    cap = 2 ** 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])
+def test_verify_rejects_a_grid_step_that_is_not_positive_and_finite(step):
+    # a step of 0, -1 or nan never ended the grid and filled memory; inf
+    # built empty grids that passed.  The child runs under a time and an
+    # address-space cap, so a regression fails here instead of hanging.
+    env = dict(os.environ, PYTHONPATH=str(Path(trigsum.__file__).parents[1]))
+    argv = ["verify", "--suite", "finite_integer", "--grid-step-deg", step]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from trigsum.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv], capture_output=True, text=True, env=env, timeout=60, preexec_fn=_cap_child_memory)
+    assert (proc.returncode, proc.stdout) == (64, "")
+    assert "grid step must be a positive finite number" in proc.stderr
+    with pytest.raises(ValueError, match="grid step"):  # safe in process once the child passed
+        build_suite("finite_integer", float(step))
