@@ -162,20 +162,29 @@ def classify(spec: SeriesSpec) -> ConvergenceClass:
     return ConvergenceClass.SUMMABLE_ONLY
 
 
-def trig_values(phi: float, count: int, kind: SeriesKind) -> np.ndarray:
-    """cos(k*phi) or sin(k*phi) for k = 0..count-1, as a float64 array.
+def rotations(phi, count: int) -> np.ndarray:
+    """z**k = cos(k*phi) + i sin(k*phi) for k = 0..count-1, as a complex array.
 
     np.multiply.accumulate of z = cos(phi) + i sin(phi) takes the coupled
     angle-addition step (one rotation per index, in index order), which
     keeps the absolute error near machine precision uniformly in phi; the
     value at k carries roughly k rounding errors that average out instead
-    of being amplified near phi = 0 or pi.
+    of being amplified near phi = 0 or pi.  An array of angles gives one
+    column per angle, shaped (count, angles): the accumulate runs down each
+    column and gives it the bits of its one-angle call.
     """
-    kind = SeriesKind(kind)
-    steps = np.full(count, complex(math.cos(phi), math.sin(phi)))
+    shape = np.shape(phi)
+    z = [complex(math.cos(x), math.sin(x)) for x in np.ravel(phi).tolist()]
+    steps = np.full((count,) + shape, z if shape else z[0])
     steps[:1] = 1.0
-    rot = np.multiply.accumulate(steps)
-    return rot.imag if kind is SeriesKind.SINE else rot.real
+    return np.multiply.accumulate(steps, axis=0)
+
+
+def trig_values(phi, count: int, kind: SeriesKind) -> np.ndarray:
+    """cos(k*phi) or sin(k*phi) for k = 0..count-1: the float64 real or
+    imaginary part of ``rotations(phi, count)``."""
+    rot = rotations(phi, count)
+    return rot.imag if SeriesKind(kind) is SeriesKind.SINE else rot.real
 
 
 def _term_array(spec: SeriesSpec, count: int) -> np.ndarray:
@@ -227,6 +236,19 @@ def _whole_row(spec: SeriesSpec, method: SummationMethod, conv: ConvergenceClass
     ts = _term_array(spec, count).tolist()
     residual = count * 2.0 ** -53 * math.fsum(map(abs, ts))
     return SummationResult(math.fsum(ts), method, count, residual, conv)
+
+
+def whole_row_sums(kind: SeriesKind, n: int, rot: np.ndarray) -> list[float]:
+    """Whole sums of the terminating row ``n`` at each angle of an angle grid.
+
+    ``rot`` is the grid's ``rotations`` table, with at least n + 1 rows.
+    Each column of terms is summed by math.fsum as ``_whole_row`` sums one
+    angle, so each value has the bits that partial sums, Cesaro means and
+    Abel summation report for the row at that angle.
+    """
+    count = int(n) + 1
+    part = rot.imag if kind is SeriesKind.SINE else rot.real
+    return [math.fsum(col) for col in (binom_scan(n, count)[:, None] * part[:count]).T.tolist()]
 
 
 def partial_sum(spec: SeriesSpec, terms: int) -> SummationResult:

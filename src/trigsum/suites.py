@@ -12,11 +12,15 @@ report bodies (wall time is reported separately, never in the body).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import time
+from array import array
 from dataclasses import dataclass, replace
 
-from .binom import binom_prefix, is_integer_exponent
+import numpy as np
+
+from .binom import EXACT_INTEGER_LIMIT, binom_prefix, is_integer_exponent
 from .closed_forms import (
     evaluate_closed,
     quarter_turn_sum,
@@ -24,13 +28,15 @@ from .closed_forms import (
     special_value_catalog,
 )
 from .exceptions import DivergentSeriesError, DomainError
-from .phase import series_at_phase
+from .phase import binomial_phase_grid, series_at_phase_grid
 from .series import (
     SeriesKind,
     SeriesSpec,
     SummationMethod,
     abel_sum_grid,
     evaluate,
+    rotations,
+    whole_row_sums,
 )
 
 #: Radial schedule for the negative-integer sweep.  The closed forms grow
@@ -263,9 +269,17 @@ _BUILDERS = {
 }
 
 
+#: Most angles a grid step may give per full turn: one per tenth of a degree.
+#: A finer step would hold millions of cases in memory.
+MAX_GRID_ANGLES = 3600
+
+
 def build_suite(name: str, grid_step_deg: float | None = None) -> list[SuiteCase]:
     if grid_step_deg is not None and not 0.0 < grid_step_deg < math.inf:
         raise ValueError(f"grid step must be a positive finite number of degrees, got {grid_step_deg}")
+    if grid_step_deg is not None and 360.0 / grid_step_deg > MAX_GRID_ANGLES:
+        raise ValueError(f"a grid step of {grid_step_deg} degrees gives more than {MAX_GRID_ANGLES}"
+                         f" angles per turn; the finest step is {360.0 / MAX_GRID_ANGLES} degrees")
     if name == "all":
         cases = []
         for sub in SUITE_NAMES[:-1]:
@@ -281,89 +295,120 @@ def build_suite(name: str, grid_step_deg: float | None = None) -> list[SuiteCase
 # Execution
 # ----------------------------------------------------------------------
 
-def _expected_value(case: SuiteCase) -> float:
-    src = case.expected_source
-    if src is ExpectedSource.LITERAL:
-        return float(case.expected_literal)
-    if src is ExpectedSource.CLOSED_FORM:
-        return evaluate_closed(case.spec.kind, case.spec.n, case.spec.phi).value
-    if src is ExpectedSource.CATALOG:
-        for entry in special_value_catalog():
-            if entry.spec == case.spec:
-                return math.nan if entry.value is None else entry.value
-        raise ValueError(f"no catalog entry for {case.spec}")
-    # finite row through the conjugate-pair polynomial path
-    n = int(case.spec.n)
-    cos_sum, sin_sum = series_at_phase(binom_prefix(case.spec.n, n + 1), case.spec.phi)
-    return sin_sum if case.spec.kind is SeriesKind.SINE else cos_sum
+def _row_key(case: SuiteCase) -> tuple:
+    """Cases with one key form a row: one series, method and expected source at many angles."""
+    return (case.spec.kind, case.spec.n, case.method, case.expected_source,
+            case.radii, case.expect_divergent)
 
 
-def _computed_value(case: SuiteCase) -> float:
-    spec = case.spec
-    if case.method is SummationMethod.REDUCED:
-        return reduced_neg_int(int(-spec.n), spec.phi).value
-    if case.method is SummationMethod.CLOSED:
-        return quarter_turn_sum(spec.n).value
-    return evaluate(spec, case.method, radii=case.radii).value
+def _abel_grid(rows: dict[tuple, tuple], kind: SeriesKind, radii, phis: tuple) -> dict | None:
+    """{n: values} of every Abel row of ``kind`` and ``radii`` on the angles
+    ``phis``, from one abel_sum_grid call; None when the engine refuses the grid."""
+    ns = [key[1] for key, row in rows.items() if (key[0], key[2], key[4], key[5], row)
+          == (kind, SummationMethod.ABEL, radii, False, phis)]
+    try:
+        return {n: v for n, (v, _res, _used) in abel_sum_grid(kind, ns, list(phis), radii).items()}
+    except DivergentSeriesError:
+        return None
 
 
-def _judge(case: SuiteCase, computed: float, expected: float) -> CaseResult:
-    abs_error = abs(computed - expected)
-    passed = abs_error <= case.tolerance * (1.0 + abs(expected))
-    return CaseResult(case, computed, expected, abs_error, passed)
-
-
-def _abel_grids(cases: list[SuiteCase]) -> dict[tuple, dict[float, list[int]]]:
-    """Auto-budget Abel cases as grids: (kind, radii, angles) -> {n: case indices}.
-
-    An exponent's angles are those of its own cases, so a case's grid, and
-    its value, do not depend on what other suites run beside it.
+class _Tables:
+    """What the rows of one run share, built once per grid (a tuple of angles):
+    one phase evaluation per exponent, one rotation table, and one
+    abel_sum_grid call per kind and radii.  A row's angles are its own
+    cases', so its values do not depend on what other suites run beside it.
     """
-    rows: dict[tuple, list[int]] = {}
-    for i, case in enumerate(cases):
-        if case.method is SummationMethod.ABEL and not case.expect_divergent:
-            rows.setdefault((case.spec.kind, case.spec.n, case.radii), []).append(i)
-    grids: dict[tuple, dict[float, list[int]]] = {}
-    for (kind, n, radii), idxs in rows.items():
-        phis = tuple(cases[i].spec.phi for i in idxs)
-        grids.setdefault((kind, radii, phis), {})[n] = idxs
-    return grids
+
+    def __init__(self, rows: dict[tuple, tuple]):
+        self.rotations = functools.cache(lambda phis: rotations(phis, EXACT_INTEGER_LIMIT + 1))
+        self.phase_power = functools.cache(binomial_phase_grid)
+        self.phase_series = functools.cache(
+            lambda n, phis: series_at_phase_grid(binom_prefix(n, int(n) + 1), phis))
+        self.abel = functools.cache(lambda kind, radii, phis: _abel_grid(rows, kind, radii, phis))
+
+
+def _computed_row(key: tuple, phis: tuple, tables: _Tables):
+    kind, n, method, _source, radii, _divergent = key
+    if method is SummationMethod.PHASE:
+        try:
+            return tables.phase_power(n, phis)[kind is SeriesKind.SINE]
+        except ValueError:  # the phase path takes integer n in 0..64 only
+            return [math.nan] * len(phis)
+    if method is SummationMethod.PARTIAL and is_integer_exponent(n) and 0 <= n <= EXACT_INTEGER_LIMIT:
+        # a terminating row: its partial sum is the whole row
+        return whole_row_sums(kind, n, tables.rotations(phis))
+    if method is SummationMethod.ABEL and tables.abel(kind, radii, phis) is not None:
+        return tables.abel(kind, radii, phis)[n]
+    if method is SummationMethod.REDUCED:
+        return [reduced_neg_int(int(-n), phi).value for phi in phis]
+    if method is SummationMethod.CLOSED:
+        return [quarter_turn_sum(n).value] * len(phis)
+    out = []  # one angle at a time, where a refused point fails alone
+    for phi in phis:
+        try:
+            out.append(evaluate(SeriesSpec(kind, n, phi), method, radii=radii).value)
+        except (DivergentSeriesError, DomainError):
+            out.append(math.nan)
+    return out
+
+
+def _catalog_value(spec: SeriesSpec) -> float:
+    for entry in special_value_catalog():
+        if entry.spec == spec:
+            return math.nan if entry.value is None else entry.value
+    raise ValueError(f"no catalog entry for {spec}")
+
+
+def _expected_row(key: tuple, phis: tuple, row: list[SuiteCase], tables: _Tables):
+    kind, n, _method, source, _radii, _divergent = key
+    if source is ExpectedSource.LITERAL:
+        return [float(case.expected_literal) for case in row]
+    if source is ExpectedSource.CLOSED_FORM:
+        return [evaluate_closed(kind, n, phi).value for phi in phis]
+    if source is ExpectedSource.CATALOG:
+        return [_catalog_value(case.spec) for case in row]
+    # the row polynomial through the conjugate-pair path
+    return tables.phase_series(n, phis)[kind is SeriesKind.SINE]
+
+
+def _judge_refusal(case: SuiteCase) -> CaseResult:
+    """A case that expects divergence passes when evaluate refuses its row."""
+    try:
+        value = evaluate(case.spec, case.method, radii=case.radii).value
+    except DivergentSeriesError:
+        return CaseResult(case, math.nan, math.nan, math.nan, True)
+    return CaseResult(case, value, math.nan, math.nan, False)
 
 
 def run_cases(cases: list[SuiteCase], tolerance_override: float | None = None) -> list[CaseResult]:
+    """Judge every case, in order.
+
+    The cases are grouped into rows (``_row_key``), each row is evaluated
+    once over the angles of its cases, and then each case is judged; every
+    value has the bits of its case evaluated alone.
+    """
     if tolerance_override is not None:
         cases = [replace(c, tolerance=tolerance_override) for c in cases]
-    computed: dict[int, float] = {}
-
-    # batched Abel evaluation: share trig tables across exponents and radii
-    for (kind, radii, phis), per_n in _abel_grids(cases).items():
-        try:
-            grid_values = abel_sum_grid(kind, list(per_n), list(phis), radii)
-        except DivergentSeriesError:
-            continue  # judged case by case below, where the refused ones fail
-        for n, idxs in per_n.items():
-            values, _residuals, _terms = grid_values[n]
-            for j, i in enumerate(idxs):
-                computed[i] = float(values[j])
-
-    results: list[CaseResult] = []
+    indices: dict[tuple, array] = {}  # arrays keep no int object per case alive
     for i, case in enumerate(cases):
-        if case.expect_divergent:
-            try:
-                value = evaluate(case.spec, case.method, radii=case.radii).value
-                results.append(CaseResult(case, value, math.nan, math.nan, False))
-            except DivergentSeriesError:
-                results.append(CaseResult(case, math.nan, math.nan, math.nan, True))
+        indices.setdefault(_row_key(case), array("q")).append(i)
+    rows = {key: tuple(cases[i].spec.phi for i in idxs) for key, idxs in indices.items()}
+    tables = _Tables(rows)
+    results: list[CaseResult] = [None] * len(cases)
+    for key, idxs in indices.items():
+        if key[-1]:  # expect_divergent
+            for i in idxs:
+                results[i] = _judge_refusal(cases[i])
             continue
-        if i in computed:
-            value = computed[i]
-        else:
-            try:
-                value = _computed_value(case)
-            except (DivergentSeriesError, DomainError):
-                results.append(CaseResult(case, math.nan, _expected_value(case), math.nan, False))
-                continue
-        results.append(_judge(case, value, _expected_value(case)))
+        row = [cases[i] for i in idxs]
+        computed = np.array(_computed_row(key, rows[key], tables))
+        expected = np.array(_expected_row(key, rows[key], row, tables))
+        # the judgement of each case, in the same float operations per element
+        abs_error = np.abs(computed - expected)
+        passed = abs_error <= np.array([case.tolerance for case in row]) * (1.0 + np.abs(expected))
+        for i, case, *judged in zip(idxs, row, computed.tolist(), expected.tolist(),
+                                    abs_error.tolist(), passed.tolist()):
+            results[i] = CaseResult(case, *judged)
     return results
 
 

@@ -1,7 +1,14 @@
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trigsum
+from trigsum import build_suite
 from trigsum.cli import main, parse_angle
 
 
@@ -285,6 +292,29 @@ def test_verify_grid_step_override(capsys):
                        "--grid-step-deg", "30")
     assert code == 0
     assert "failed=0" in out
+
+
+def _cap_child_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+@pytest.mark.parametrize("step", ["1e-6", "0.09"])
+def test_verify_refuses_a_grid_finer_than_the_angle_cap(step):
+    # 1e-6 degrees would build 358 million angles per row; the cap refuses
+    # every step below a tenth of a degree before a grid is built.  The
+    # child runs under a time and an address-space cap.
+    env = dict(os.environ, PYTHONPATH=str(Path(trigsum.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from trigsum.cli import main; sys.exit(main(sys.argv[1:]))",
+         "verify", "--suite", "finite_integer", "--grid-step-deg", step],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=_cap_child_memory)
+    assert (proc.returncode, proc.stdout) == (64, "")
+    assert "more than 3600 angles per turn" in proc.stderr
+
+
+def test_a_tenth_of_a_degree_grid_stays_accepted():
+    assert len(build_suite("finite_integer", 0.1)) == 11 * 2 * 3579
+    assert len(build_suite("negative_integer", 0.1)) == 2 * 6 * 3398
 
 
 def test_verify_unknown_suite_usage_error(capsys):

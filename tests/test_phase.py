@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trigsum import (
     binom_prefix,
@@ -9,6 +11,7 @@ from trigsum import (
     phase_point,
     series_at_phase,
 )
+from trigsum.phase import binomial_phase_grid, series_at_phase_grid
 
 GRID = [math.radians(d) for d in range(-179, 180, 3)]
 
@@ -139,3 +142,44 @@ def test_path_agreement_with_closed_forms():
             pc, ps = binomial_phase_power(n, phi)
             assert abs(pc - evaluate_closed("cos", n, phi).value) <= bound
             assert abs(ps - evaluate_closed("sin", n, phi).value) <= bound
+
+
+def _bits(pair):
+    # hex keeps the sign of a zero
+    return tuple(float(v).hex() for v in pair)
+
+
+def _complex_horner(coeffs, phi):
+    # the conjugate-pair sums on CPython's complex, step for step
+    p = complex(math.cos(phi), math.sin(phi))
+    q = p.conjugate()
+    dp = dq = complex(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        dp = dp * p + c
+        dq = dq * q + c
+    return (dp.real + dq.real) / 2.0, (dp.imag - dq.imag) / 2.0
+
+
+_ANGLES = st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, math.pi, -math.pi, 0.5 * math.pi]),
+                   min_size=1, max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 64), phis=_ANGLES)
+def test_phase_power_kernel_has_the_bits_of_cpython_complex_power(n, phis):
+    grid = binomial_phase_grid(n, np.array(phis))
+    for j, phi in enumerate(phis):
+        z = (1 + complex(math.cos(phi), math.sin(phi))) ** n
+        assert _bits(binomial_phase_power(n, phi)) == _bits((z.real, z.imag))
+        assert _bits((grid[0][j], grid[1][j])) == _bits((z.real, z.imag))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 20), phis=_ANGLES)
+def test_phase_series_kernel_has_the_bits_of_a_complex_horner_loop(n, phis):
+    coeffs = binom_prefix(n, n + 1)
+    grid = series_at_phase_grid(coeffs, phis)
+    for j, phi in enumerate(phis):
+        expected = _bits(_complex_horner(coeffs, phi))
+        assert _bits(series_at_phase(coeffs, phi)) == expected
+        assert _bits((grid[0][j], grid[1][j])) == expected

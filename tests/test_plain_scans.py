@@ -9,6 +9,7 @@ values pinned before the scans replaced the loops.
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -43,11 +44,17 @@ def _hex(values):
 
 
 @settings(max_examples=60, deadline=None)
-@given(phi=st.floats(-math.pi, math.pi, exclude_min=True),
+@given(phis=st.lists(st.floats(-math.pi, math.pi, exclude_min=True), min_size=1, max_size=6),
        count=st.integers(0, 4000),
        kind=st.sampled_from(list(SeriesKind)))
-def test_trig_values_equal_the_rotation_loop(phi, count, kind):
-    assert _hex(trig_values(phi, count, kind)) == _hex(_trig_by_loop(phi, count, kind))
+def test_trig_values_equal_the_rotation_loop(phis, count, kind):
+    # an array of angles gives one column per angle, each the one-angle scan
+    table = trig_values(np.array(phis), count, kind)
+    assert table.shape == (count, len(phis))
+    for j, phi in enumerate(phis):
+        expected = _hex(_trig_by_loop(phi, count, kind))
+        assert _hex(trig_values(phi, count, kind)) == expected
+        assert _hex(table[:, j]) == expected
 
 
 @settings(max_examples=60, deadline=None)

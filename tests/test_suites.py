@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import math
 import os
 import resource
@@ -9,17 +11,25 @@ import pytest
 
 import trigsum
 from trigsum import (
+    ConjugacyError,
+    DivergentSeriesError,
+    DomainError,
     ExpectedSource,
     SeriesKind,
     SuiteCase,
     SeriesSpec,
     SummationMethod,
+    binom_prefix,
     build_suite,
     evaluate,
+    evaluate_closed,
+    quarter_turn_sum,
     report_lines,
     run_suite,
+    series_at_phase,
     write_report,
 )
+from trigsum import phase
 from trigsum.suites import SUITE_NAMES, run_cases
 
 
@@ -185,3 +195,85 @@ def test_verify_rejects_a_grid_step_that_is_not_positive_and_finite(step):
     assert "grid step must be a positive finite number" in proc.stderr
     with pytest.raises(ValueError, match="grid step"):  # safe in process once the child passed
         build_suite("finite_integer", float(step))
+
+
+#: SHA-256 of report bodies recorded when each case was still run on its own.
+_REPORT_SHA256 = {
+    ("finite_integer", None): "f31e12f6f9808f070dd8b30afd6377abcc03f3b8f07dd236c9b913d5d0907178",
+    ("quarter_turn", None): "330710bbf1ba3e383e9d570b271bd5c6bfd04e2f4014a887f49e786aec109eaf",
+    ("phase_equivalence", None): "254189bfe42fe30909d060713739ebb84d12a508556160d4f47441fbb5bfba4e",
+    ("finite_integer", 0.1): "1354287f4f5df9b8c8d952789eb3d268ab27ae5a6cdea68262c8c5ea17d517c8",
+    ("quarter_turn", 0.1): "330710bbf1ba3e383e9d570b271bd5c6bfd04e2f4014a887f49e786aec109eaf",
+    ("phase_equivalence", 0.1): "ea4b40cdc6da495a3748dac25511d58e5d3fd616209d4ea6ef96d4423ff3a288",
+}
+
+
+def _case_by_itself(case):
+    """(computed, expected) of one case from the scalar entry points."""
+    spec = case.spec
+    if case.method is SummationMethod.CLOSED:
+        computed = quarter_turn_sum(spec.n).value
+    else:
+        try:
+            computed = evaluate(spec, case.method, radii=case.radii).value
+        except (DivergentSeriesError, DomainError):
+            computed = math.nan
+    if case.expected_source is ExpectedSource.LITERAL:
+        expected = case.expected_literal
+    elif case.expected_source is ExpectedSource.CLOSED_FORM:
+        expected = evaluate_closed(spec.kind, spec.n, spec.phi).value
+    else:
+        expected = _phase_series_alone(spec.n, spec.phi)[spec.kind is SeriesKind.SINE]
+    return computed, expected
+
+
+@functools.lru_cache(maxsize=None)
+def _phase_series_alone(n, phi):
+    # the cosine and sine cases of one angle read one scalar call
+    return series_at_phase(binom_prefix(n, int(n) + 1), phi)
+
+
+def _same_double(a, b):
+    """Equal, or both nan, and with the same sign bit: -0.0 and 0.0 differ."""
+    return (a == b or (math.isnan(a) and math.isnan(b))) and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@pytest.mark.parametrize("step", [None, 0.1])
+@pytest.mark.parametrize("name", ["finite_integer", "quarter_turn", "phase_equivalence"])
+def test_grouped_rows_give_every_case_the_bits_it_gets_alone(name, step):
+    report = run_suite(name, grid_step_deg=step)
+    for r in report.results:
+        computed, expected = _case_by_itself(r.case)
+        abs_error = abs(computed - expected)
+        passed = abs_error <= r.case.tolerance * (1.0 + abs(expected))
+        assert _same_double(r.computed, computed), r.case
+        assert _same_double(r.expected, expected), r.case
+        assert _same_double(r.abs_error, abs_error), r.case
+        assert r.passed is passed, r.case
+    _phase_series_alone.cache_clear()
+    body = "\n".join(report_lines(report)) + "\n"
+    assert hashlib.sha256(body.encode()).hexdigest() == _REPORT_SHA256[(name, step)]
+
+
+def test_a_phase_row_raises_at_its_first_angle_over_the_residue_bound(monkeypatch):
+    # A sound kernel forms q's Horner values as the exact mirror of p's, so
+    # the residue is exactly 0 at every angle and even a bound of 0 passes.
+    # A product broken where sin(phi) > 0.9 leaves a residue at 2.0 and
+    # -2.0 rad only; the row must raise at 2.0, as the case alone does.
+    cmul = phase._cmul
+    monkeypatch.setattr(phase, "_cmul", lambda ar, ai, br, bi: (
+        cmul(ar, ai, br, bi)[0], cmul(ar, ai, br, bi)[1] + 1e-6 * (bi > 0.9)))
+    monkeypatch.setattr(phase, "RESIDUE_BOUND", 0.0)
+    coeffs = binom_prefix(7, 8)
+    phis = (0.0, 1.0, 2.0, -2.0)
+    for phi in phis[:2]:
+        series_at_phase(coeffs, phi)
+    with pytest.raises(ConjugacyError) as alone:
+        series_at_phase(coeffs, phis[2])
+    assert "phi=2.0 " in str(alone.value)
+    cases = [SuiteCase(SeriesSpec(kind, 7.0, phi), SummationMethod.PHASE,
+                       ExpectedSource.PHASE_SERIES, tolerance=1e-9)
+             for kind in (SeriesKind.COSINE, SeriesKind.SINE) for phi in phis]
+    with pytest.raises(ConjugacyError) as grouped:
+        run_cases(cases)
+    assert str(grouped.value) == str(alone.value)
