@@ -296,9 +296,10 @@ def build_suite(name: str, grid_step_deg: float | None = None) -> list[SuiteCase
 # ----------------------------------------------------------------------
 
 def _row_key(case: SuiteCase) -> tuple:
-    """Cases with one key form a row: one series, method and expected source at many angles."""
+    """Cases with one key form a row: one series, method and expected source
+    at many angles.  The sign of n is part of it, as -0.0 == 0.0."""
     return (case.spec.kind, case.spec.n, case.method, case.expected_source,
-            case.radii, case.expect_divergent)
+            case.radii, case.expect_divergent, math.copysign(1.0, case.spec.n))
 
 
 def _abel_grid(rows: dict[tuple, tuple], kind: SeriesKind, radii, phis: tuple) -> dict | None:
@@ -328,7 +329,7 @@ class _Tables:
 
 
 def _computed_row(key: tuple, phis: tuple, tables: _Tables):
-    kind, n, method, _source, radii, _divergent = key
+    kind, n, method, _source, radii, *_ = key
     if method is SummationMethod.PHASE:
         try:
             return tables.phase_power(n, phis)[kind is SeriesKind.SINE]
@@ -360,7 +361,7 @@ def _catalog_value(spec: SeriesSpec) -> float:
 
 
 def _expected_row(key: tuple, phis: tuple, row: list[SuiteCase], tables: _Tables):
-    kind, n, _method, source, _radii, _divergent = key
+    kind, n, _method, source, *_ = key
     if source is ExpectedSource.LITERAL:
         return [float(case.expected_literal) for case in row]
     if source is ExpectedSource.CLOSED_FORM:
@@ -396,7 +397,7 @@ def run_cases(cases: list[SuiteCase], tolerance_override: float | None = None) -
     tables = _Tables(rows)
     results: list[CaseResult] = [None] * len(cases)
     for key, idxs in indices.items():
-        if key[-1]:  # expect_divergent
+        if key[5]:  # expect_divergent
             for i in idxs:
                 results[i] = _judge_refusal(cases[i])
             continue

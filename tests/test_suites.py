@@ -255,6 +255,21 @@ def test_grouped_rows_give_every_case_the_bits_it_gets_alone(name, step):
     assert hashlib.sha256(body.encode()).hexdigest() == _REPORT_SHA256[(name, step)]
 
 
+def test_exponents_minus_zero_and_zero_form_two_rows():
+    # -0.0 == 0.0, yet the sine closed form keeps the sign of n: 2**n cos(phi/2)**n sin(n phi/2)
+    cases = [SuiteCase(SeriesSpec(kind, n, phi), method, source, tolerance=1e-9)
+             for n in (0.0, -0.0) for kind in (SeriesKind.COSINE, SeriesKind.SINE) for phi in (1.0, -2.0)
+             for method, source in ((SummationMethod.PARTIAL, ExpectedSource.CLOSED_FORM),
+                                    (SummationMethod.PHASE, ExpectedSource.PHASE_SERIES))]
+    results = run_cases(cases)
+    for r in results:
+        computed, expected = _case_by_itself(r.case)
+        assert _same_double(r.computed, computed) and _same_double(r.expected, expected), r.case
+    sine_closed = results[-4]  # n = -0.0, sin, phi = 1.0, closed form
+    assert sine_closed.case.spec.n == 0.0 and sine_closed.expected == 0.0
+    assert math.copysign(1.0, sine_closed.case.spec.n) == math.copysign(1.0, sine_closed.expected) == -1.0
+
+
 def test_a_phase_row_raises_at_its_first_angle_over_the_residue_bound(monkeypatch):
     # A sound kernel forms q's Horner values as the exact mirror of p's, so
     # the residue is exactly 0 at every angle and even a bound of 0 passes.
