@@ -14,6 +14,7 @@ failures, 2 domain error, 3 divergence, 64 usage, 74 I/O.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -54,6 +55,12 @@ def parse_angle(text: str) -> float:
             f"bad angle {text!r}; write e.g. 90deg or 1.5708rad")
     value = float(m.group(1))
     return math.radians(value) if m.group(2) == "deg" else value
+
+
+def _angle(text: str) -> float:
+    # the parser is built once; looking parse_angle up per call keeps a
+    # rebound cli.parse_angle (as a tracer installs) the one it uses
+    return parse_angle(text)
 
 
 def _cmd_sum(args) -> int:
@@ -129,7 +136,9 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process; parsing does not change it."""
     parser = _Parser(prog="trigsum",
                      description="Binomial multiple-angle series: evaluate, verify, tabulate.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -137,7 +146,7 @@ def _build_parser() -> _Parser:
     p_sum = sub.add_parser("sum", help="evaluate one series")
     p_sum.add_argument("--kind", required=True, choices=["cos", "sin"])
     p_sum.add_argument("--n", required=True, type=float)
-    p_sum.add_argument("--phi", required=True, type=parse_angle)
+    p_sum.add_argument("--phi", required=True, type=_angle)
     p_sum.add_argument("--method", choices=_METHOD_NAMES)
     p_sum.add_argument("--terms", type=int)
     p_sum.add_argument("--tol", type=float)
@@ -153,9 +162,9 @@ def _build_parser() -> _Parser:
     p_tab = sub.add_parser("table", help="tabulate methods over an angle range")
     p_tab.add_argument("--kind", required=True, choices=["cos", "sin"])
     p_tab.add_argument("--n", required=True, type=float)
-    p_tab.add_argument("--from", dest="from_angle", required=True, type=parse_angle)
-    p_tab.add_argument("--to", dest="to_angle", required=True, type=parse_angle)
-    p_tab.add_argument("--step", required=True, type=parse_angle)
+    p_tab.add_argument("--from", dest="from_angle", required=True, type=_angle)
+    p_tab.add_argument("--to", dest="to_angle", required=True, type=_angle)
+    p_tab.add_argument("--step", required=True, type=_angle)
     p_tab.add_argument("--methods", required=True)
     p_tab.add_argument("--terms", type=int)
     p_tab.set_defaults(func=_cmd_table)

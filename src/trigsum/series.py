@@ -315,44 +315,66 @@ def abel_terms_needed(radii) -> int:
     return int(math.ceil(math.log(1e-16) / math.log(r))) + 1
 
 
-def _abel_term_count(n: float, r: float) -> int:
-    """Truncation making |gen_binom(n, k) * r**k| fall below the tail cutoff.
+def _past_cutoff(logc: np.ndarray, r: float, first: int = 1) -> int:
+    """Least k >= abel_terms_needed((r,)) with log|gen_binom(n, k) * r**k| below
+    the tail cutoff, or 0 if none; ``logc`` holds log|gen_binom(n, k)| from k = ``first``."""
+    kmin = max(abel_terms_needed((r,)), first)
+    k = np.arange(kmin, first + logc.size, dtype=float)
+    (hit,) = np.nonzero(logc[kmin - first:] + k * math.log(r) < _ABEL_CUT_LOG)
+    return kmin + int(hit[0]) if hit.size else 0
 
-    log|gen_binom(n, k)| is a running sum of log|n - j| - log(j + 1), taken
-    by np.cumsum over chunks of _BLOCK_ELEMS indices; cumsum adds in index
-    order, so it is the same running sum a loop over k forms.
+
+def _log_coeffs(n: float, r: float) -> np.ndarray:
+    """log|gen_binom(n, k)| for k = 1, 2, ... up to ``_past_cutoff`` at radius ``r``.
+
+    A running sum of log|n - j| - log(j + 1), taken by np.cumsum over
+    chunks of _BLOCK_ELEMS indices; cumsum adds in index order, so it is
+    the same running sum a loop over k forms, whatever the chunks.  The
+    scan also stops at MAX_TERMS, or at k = n for a nonnegative integer n
+    (gen_binom(n, n + 1) == 0).
     """
-    logr = math.log(r)
-    kmin = abel_terms_needed((r,))
-    # a nonnegative integer exponent terminates: gen_binom(n, n + 1) == 0
     last = MAX_TERMS
     if is_integer_exponent(n) and n >= 0:
         last = min(int(n), last)
-    lc = 0.0  # log |gen_binom(n, start - 1)|
-    start = 1
+    chunks, lc, start = [], 0.0, 1
     while start <= last:
         k = np.arange(start, min(start + _BLOCK_ELEMS, last + 1), dtype=float)
         steps = np.log(np.abs(n - (k - 1.0))) - np.log(k)
         steps[0] += lc
         logc = np.cumsum(steps)
-        (hit,) = np.nonzero((k >= kmin) & (logc + k * logr < _ABEL_CUT_LOG))
-        if hit.size:
-            return int(k[hit[0]]) + 1
+        hit = _past_cutoff(logc, r, start)
+        chunks.append(logc[:hit - start + 1] if hit else logc)
+        if hit:
+            break
         lc = float(logc[-1])
         start += k.size
-    if last < MAX_TERMS:
-        return last + 1  # terminating series
+    return np.concatenate(chunks) if chunks else np.zeros(0)
+
+
+def _abel_term_count(r: float, logc: np.ndarray) -> int:
+    """Truncation making |gen_binom(n, k) * r**k| fall below the tail cutoff.
+
+    ``logc`` is ``_log_coeffs(n, r')`` for some r' >= r: a smaller radius
+    meets the cutoff no later, so one scan serves every radius of a query.
+    """
+    hit = _past_cutoff(logc, r)
+    if hit:
+        return hit + 1
+    if logc.size < MAX_TERMS:
+        return logc.size + 1  # terminating series
     raise ValueError(f"radius {r!r} too close to 1 for a feasible term budget")
 
 
-def _abel_point_f64(kind: SeriesKind, n: float, phi: float, r: float, count: int) -> float:
+def _abel_point_f64(r: float, count: int, coeffs: np.ndarray, trig: np.ndarray) -> float:
     """One radial sample in plain doubles, summed exactly rounded by math.fsum.
 
-    The coefficient and rotation scans are the ones partial sums use; the
-    powers r**k are an np.cumprod of r, which multiplies in index order.
+    ``coeffs`` and ``trig`` are the prefix scans partial sums use
+    (``binom_scan``, ``trig_values``), at least ``count`` long; their first
+    ``count`` entries are the scans of that length.  The powers r**k are an
+    np.cumprod of r, which multiplies in index order.
     """
     rk = np.cumprod(np.concatenate(([1.0], np.full(count - 1, r))))
-    return math.fsum((binom_scan(n, count) * rk * trig_values(phi, count, kind)).tolist())
+    return math.fsum(((coeffs[:count] * rk) * trig[:count]).tolist())
 
 
 def _abel_point_dd(kind: SeriesKind, n: float, phi: float, radii):
@@ -430,10 +452,14 @@ def abel_sum(spec: SeriesSpec, radii=None) -> SummationResult:
     if row is not None:
         return row
     if spec.n > -2.0:
-        counts = [_abel_term_count(spec.n, r) for r in radii]
-        hi = [_abel_point_f64(spec.kind, spec.n, spec.phi, r, count)
-              for r, count in zip(radii, counts)]
-        lo, gap, used = [0.0] * len(radii), 0.0, max(counts)
+        # one log scan, coefficient scan and rotation scan, up to the
+        # largest radius's budget, serve every sample of the query
+        logc = _log_coeffs(spec.n, radii[-1])
+        counts = [_abel_term_count(r, logc) for r in radii]
+        used = max(counts)
+        coeffs, trig = binom_scan(spec.n, used), trig_values(spec.phi, used, spec.kind)
+        hi = [_abel_point_f64(r, count, coeffs, trig) for r, count in zip(radii, counts)]
+        lo, gap = [0.0] * len(radii), 0.0
     else:
         hi, lo, gap, used = _abel_point_dd(spec.kind, spec.n, spec.phi, radii)
     value, residual = _radial_limit(radii, hi, lo, gap)
@@ -514,7 +540,8 @@ def _dd_trig_table(phis: np.ndarray, count: int):
         for a, e in zip(block, ext):
             a[size:2 * size] = e
         size *= 2
-    zrows = _dd_unit_power(phis, rows)
+    # z**rows steps from block to block; one block of a short table needs none
+    zrows = _dd_unit_power(phis, rows) if count > rows else None
     table = tuple(np.empty((count, m)) for _ in range(4))
     for start in range(0, count, rows):
         stop = min(start + rows, count)

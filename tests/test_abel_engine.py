@@ -8,21 +8,25 @@ plain loops the constructions replace.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from trigsum import (
     DEFAULT_ABEL_RADII,
     NEGATIVE_SUITE_RADII,
+    ConvergenceClass,
     DivergentSeriesError,
     SeriesKind,
     SeriesSpec,
     abel_sum,
+    classify,
 )
-from trigsum.binom import gen_binom_exact
+from trigsum import series
+from trigsum.binom import binom_scan, gen_binom_exact
 from trigsum.series import (
     _ABEL_CUT_LOG,
     _LEVIN_ROWS,
@@ -33,7 +37,9 @@ from trigsum.series import (
     _dd_trig_table,
     _extrapolate_radial,
     _levin_samples,
+    _log_coeffs,
     abel_terms_needed,
+    trig_values,
 )
 
 #: Largest term budget of the negative_integer suite (n = -6, r = 0.996).
@@ -109,13 +115,55 @@ def _f64_terms_by_loop(kind, n, phi, r, count):
     return terms
 
 
+def _budget(n, r):
+    """The term budget at radius r from a log scan of its own."""
+    return _abel_term_count(r, _log_coeffs(n, r))
+
+
 @pytest.mark.parametrize("kind", list(SeriesKind))
 @pytest.mark.parametrize("n,phi", [(-1.9, 2.0), (-0.5, -1.2), (1.5, 0.3), (-1.0, 3.1)])
 def test_abel_point_f64_sums_the_loop_terms_exactly(kind, n, phi):
     for r in (0.9, 0.99):
-        count = _abel_term_count(n, r)
-        assert _abel_point_f64(kind, n, phi, r, count) == math.fsum(
+        count = _budget(n, r)
+        assert _abel_point_f64(r, count, binom_scan(n, count), trig_values(phi, count, kind)) == math.fsum(
             _f64_terms_by_loop(kind, n, phi, r, count))
+
+
+def _recording(fn, calls):
+    """``fn``, appending (args, result) of each call to ``calls``."""
+    def wrapper(*args):
+        calls.append((args, fn(*args)))
+        return calls[-1][1]
+    return wrapper
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(list(SeriesKind)),
+       n=st.floats(-2.0, 12.0, exclude_min=True, exclude_max=True).filter(
+           lambda x: not (x.is_integer() and x >= 0)),
+       phi=st.floats(allow_nan=False, allow_infinity=False),
+       radii=st.one_of(st.just(DEFAULT_ABEL_RADII),
+                       st.sets(st.integers(300, 995), min_size=3, max_size=7).map(
+                           lambda s: tuple(x / 1000 for x in sorted(s)))))
+def test_abel_f64_samples_share_one_scan(kind, n, phi, radii):
+    # abel_sum takes one log, coefficient and rotation scan up to the
+    # largest budget; each radius still gets the budget and the sample of
+    # its own step-by-step loops
+    spec = SeriesSpec(kind, n, phi)
+    conv = classify(spec)
+    assume(conv is not ConvergenceClass.DIVERGENT and not series._zero_row(spec, conv))
+    budgets, samples = [], []
+    with mock.patch.object(series, "_abel_term_count", _recording(_abel_term_count, budgets)), \
+         mock.patch.object(series, "_abel_point_f64", _recording(_abel_point_f64, samples)):
+        abel_sum(spec, radii)
+    assert [args[0] for args, _ in budgets] == [args[0] for args, _ in samples] == list(radii)
+    (_, _, coeffs, trig), _ = samples[0]
+    assert len(coeffs) == len(trig) == max(count for _, count in budgets)
+    for (_, count), ((r, used, *scans), value) in zip(budgets, samples):
+        assert scans[0] is coeffs and scans[1] is trig
+        assert type(count) is int
+        assert count == used == _term_count_by_loop(n, r)
+        assert value == math.fsum(_f64_terms_by_loop(kind, n, phi, r, count))
 
 
 # ---------------------------------------------------------------- Levin samples
@@ -208,7 +256,7 @@ def test_abel_term_budget_at_default_radii(n, terms):
     # the Levin order of its double-double samples instead
     used = abel_sum(SeriesSpec("cos", n, 1.0)).terms_used
     assert used == (terms if n > -2.0 else LEVIN_ORDER_AT_ONE_RADIAN[n])
-    assert max(_abel_term_count(n, r) for r in DEFAULT_ABEL_RADII) == terms
+    assert max(_budget(n, r) for r in DEFAULT_ABEL_RADII) == terms
 
 
 def _meets_cutoff(n, r, k):
@@ -237,7 +285,7 @@ def _term_count_by_loop(n, r):
 @given(n=st.floats(-8.0, 8.0).filter(lambda x: not x.is_integer()),
        r=st.floats(0.5, 0.995))
 def test_abel_term_budget_is_the_first_index_past_the_cutoff(n, r):
-    budget = _abel_term_count(n, r)
+    budget = _budget(n, r)
     assert isinstance(budget, int)
     assert _meets_cutoff(n, r, budget - 1)
     assert not _meets_cutoff(n, r, budget - 2)
@@ -247,12 +295,12 @@ def test_abel_term_budget_is_the_first_index_past_the_cutoff(n, r):
 @given(n=st.one_of(st.floats(-12.0, 12.0), st.integers(-12, 70).map(float)),
        r=st.floats(0.3, 0.996))
 def test_abel_term_budget_matches_the_loop(n, r):
-    assert _abel_term_count(n, r) == _term_count_by_loop(n, r)
+    assert _budget(n, r) == _term_count_by_loop(n, r)
 
 
 def test_abel_term_budget_of_a_terminating_row():
-    assert _abel_term_count(3.0, 0.99) == 4
-    assert _abel_term_count(0.0, 0.5) == 1
+    assert _budget(3.0, 0.99) == 4
+    assert _budget(0.0, 0.5) == 1
 
 
 # ---------------------------------------------------------------- pinned values

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -298,23 +299,52 @@ def _cap_child_memory():
     resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
 
 
+def _main_in_a_fresh_process(argv, **kwargs):
+    """(exit code, stdout, stderr) of cli.main(argv) in a child process, under a time cap."""
+    env = dict(os.environ, PYTHONPATH=str(Path(trigsum.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from trigsum.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv], capture_output=True, text=True, env=env, timeout=60, **kwargs)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 @pytest.mark.parametrize("step", ["1e-6", "0.09"])
 def test_verify_refuses_a_grid_finer_than_the_angle_cap(step):
     # 1e-6 degrees would build 358 million angles per row; the cap refuses
     # every step below a tenth of a degree before a grid is built.  The
     # child runs under a time and an address-space cap.
-    env = dict(os.environ, PYTHONPATH=str(Path(trigsum.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from trigsum.cli import main; sys.exit(main(sys.argv[1:]))",
-         "verify", "--suite", "finite_integer", "--grid-step-deg", step],
-        capture_output=True, text=True, env=env, timeout=60, preexec_fn=_cap_child_memory)
-    assert (proc.returncode, proc.stdout) == (64, "")
-    assert "more than 3600 angles per turn" in proc.stderr
+    code, out, err = _main_in_a_fresh_process(
+        ["verify", "--suite", "finite_integer", "--grid-step-deg", step], preexec_fn=_cap_child_memory)
+    assert (code, out) == (64, "")
+    assert "more than 3600 angles per turn" in err
 
 
 def test_a_tenth_of_a_degree_grid_stays_accepted():
     assert len(build_suite("finite_integer", 0.1)) == 11 * 2 * 3579
     assert len(build_suite("negative_integer", 0.1)) == 2 * 6 * 3398
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
+    # the parser is built once per process: a usage error, --help and
+    # earlier commands leave nothing behind for the next call
+    from trigsum import cli
+
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    first = ["sum", "--kind", "cos", "--n", "-1.5", "--phi", "1"]
+    calls = [["sum", "--kind", "cos", "--n", "-1.5"], ["--help"], first,
+             ["verify", "--suite", "lambda"], first]
+
+    def masked(result):  # wall time is the one field that differs between runs
+        code, out, err = result
+        return code, re.sub(r"wall_time=\S+", "wall_time=", out), err
+
+    cli._build_parser.cache_clear()
+    results = [masked(run(capsys, *argv)) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in results] == [64, 0, 0, 0, 0]
+    assert results[2] == results[4]
+    for argv, result in zip(calls, results):
+        assert result == masked(_main_in_a_fresh_process(argv)), argv
 
 
 def test_verify_unknown_suite_usage_error(capsys):
