@@ -8,9 +8,8 @@ diverges, and ships a CLI (``trigsum``) that pits them against each other
 on angle grids.
 """
 
-from .binom import EXACT_INTEGER_LIMIT, binom_prefix, gen_binom, is_integer_exponent
+from .binom import binom_prefix, gen_binom, is_integer_exponent
 from .closed_forms import (
-    CatalogEntry,
     ClosedFormValue,
     evaluate_closed,
     lambda_series_closed,
@@ -18,13 +17,8 @@ from .closed_forms import (
     reduced_neg_int,
     special_value_catalog,
 )
-from .exceptions import (
-    ConjugacyError,
-    DivergentSeriesError,
-    DomainError,
-    TrigsumError,
-)
-from .phase import binomial_phase_power, phase_point, series_at_phase
+from .exceptions import DivergentSeriesError, DomainError, TrigsumError
+from .phase import binomial_phase_power, series_at_phase
 from .series import (
     DEFAULT_ABEL_RADII,
     DIVERGENCE_THRESHOLD,

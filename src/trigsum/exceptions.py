@@ -15,11 +15,3 @@ class DomainError(TrigsumError):
 
 class DivergentSeriesError(TrigsumError):
     """The series has no value under the requested summation method."""
-
-
-class ConjugacyError(TrigsumError):
-    """Conjugate-pair evaluation failed to cancel its imaginary part.
-
-    This indicates a bug in the evaluation path, not bad input: for real
-    coefficients the two phase evaluations are exact conjugates.
-    """

@@ -7,12 +7,17 @@ series at once:
     cosine sum = (Delta(p) + Delta(q)) / 2
     sine sum   = (Delta(p) - Delta(q)) / (2i)
 
-For the binomial row this collapses further to (1+p)**n, giving a second,
+For real coefficients Delta(q) = conj Delta(p), so the two sums are the
+real and imaginary parts of Delta(p), and one pass at p gives both.  The
+pair formulas, evaluated as written, give other bits on two kinds of row
+only, neither of which the package builds: +0.0 where a -0.0 constant
+coefficient meets a zero cosine sum (one pass gives -0.0), and inf where
+Delta(p) + Delta(q) overflows, as on the row [1.7e308].  For the
+binomial row Delta(p) collapses further to (1+p)**n, giving a second,
 independent evaluation path for integer exponents.  Both paths carry a
 complex number as a (re, im) pair and run split real arithmetic on it, on
 Python floats for one angle or numpy arrays for an angle grid alike, with
-the bits of CPython's ``complex`` at every angle.  The conjugate
-combinations are checked, angle by angle, for a cancelled imaginary residue.
+the bits of CPython's ``complex`` at every angle.
 """
 
 from __future__ import annotations
@@ -21,51 +26,30 @@ import math
 
 import numpy as np
 
-from .exceptions import ConjugacyError
-
-#: Relative bound on the imaginary residue of a conjugate combination.
-RESIDUE_BOUND = 1e-12
-
-
-def phase_point(phi: float) -> complex:
-    """Unit-circle point p = cos(phi) + i sin(phi); its conjugate is q."""
-    return complex(math.cos(phi), math.sin(phi))
-
 
 def _cmul(ar, ai, br, bi):
     """(ar + i ai) * (br + i bi), each part formed as CPython's complex product forms it."""
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _conjugate_sums(coeffs, phis, c, s):
-    """Cosine and sine sums of a finite coefficient row at the angles ``phis``
-    (a float or an array) whose cosines are ``c`` and sines ``s``.
+def _horner(coeffs, c, s):
+    """(cosine sum, sine sum) of a finite coefficient row as (Re, Im) of
+    Delta(p), at the angles (a float or an array) whose cosines are ``c``
+    and sines ``s``.
 
-    Horner's rule at p and q runs ``acc * p + coeff`` as CPython's complex
-    does, where adding a float adds +0.0 to the imaginary part.  The
-    imaginary residue of the conjugate combinations must cancel; at the
-    first angle where it exceeds RESIDUE_BOUND times the coefficient mass
-    the evaluation itself is broken, and a ConjugacyError names that angle.
+    Horner's rule runs ``acc * p + coeff`` as CPython's complex does, where
+    adding a float adds +0.0 to the imaginary part.
     """
     coeffs = [float(a) for a in coeffs]
     if not coeffs:
         raise ValueError("need at least one coefficient")
     if not all(math.isfinite(a) for a in coeffs):
         raise ValueError("coefficients must be finite")
-    pr = qr = coeffs[-1]
-    pi = qi = 0.0
+    re, im = coeffs[-1], 0.0
     for a in reversed(coeffs[:-1]):
-        (pr, pi), (qr, qi) = _cmul(pr, pi, c, s), _cmul(qr, qi, c, -s)
-        pr, pi, qr, qi = pr + a, pi + 0.0, qr + a, qi + 0.0
-    scale = sum(abs(a) for a in coeffs)
-    cos_residue, sin_residue = abs(pi + qi) / 2.0, abs(pr - qr) / 2.0
-    over = (cos_residue > RESIDUE_BOUND * scale) | (sin_residue > RESIDUE_BOUND * scale)
-    if np.any(over):
-        i = np.argmax(over)  # the first angle over the bound
-        raise ConjugacyError(
-            f"imaginary residue {np.ravel(np.maximum(cos_residue, sin_residue))[i]:.3e} at"
-            f" phi={float(np.ravel(phis)[i])!r} exceeds {RESIDUE_BOUND:.0e} * {scale:.3e}")
-    return (pr + qr) / 2.0, (pi - qi) / 2.0
+        re, im = _cmul(re, im, c, s)
+        re, im = re + a, im + 0.0
+    return re, im
 
 
 def _power(n, c, s):
@@ -88,7 +72,7 @@ def _power(n, c, s):
 
 def _on_grid(kernel, phis) -> tuple[np.ndarray, np.ndarray]:
     """kernel(cos, sin) on the cosines and sines of an array of angles, taken
-    as phase_point takes them: arrays of cosine and sine sums."""
+    as the one-angle calls take them: arrays of cosine and sine sums."""
     phis = np.asarray(phis, dtype=float).tolist()
     c = np.array([math.cos(x) for x in phis])
     s = np.array([math.sin(x) for x in phis])
@@ -98,15 +82,14 @@ def _on_grid(kernel, phis) -> tuple[np.ndarray, np.ndarray]:
 def series_at_phase(coeffs, phi: float) -> tuple[float, float]:
     """Cosine and sine sums of a finite coefficient row via the phase pair.
 
-    Evaluates the polynomial at p and q by Horner accumulation and takes
-    the conjugate combinations; see ``_conjugate_sums``.
+    Evaluates the polynomial at p by Horner accumulation; see ``_horner``.
     """
-    return _conjugate_sums(coeffs, phi, math.cos(phi), math.sin(phi))
+    return _horner(coeffs, math.cos(phi), math.sin(phi))
 
 
 def series_at_phase_grid(coeffs, phis) -> tuple[np.ndarray, np.ndarray]:
     """``series_at_phase`` at each angle of ``phis``, with the bits of its one-angle call."""
-    return _on_grid(lambda c, s: _conjugate_sums(coeffs, phis, c, s), phis)
+    return _on_grid(lambda c, s: _horner(coeffs, c, s), phis)
 
 
 def binomial_phase_power(n: int, phi: float) -> tuple[float, float]:

@@ -309,16 +309,15 @@ def _validate_radii(radii) -> tuple[float, ...]:
     return radii
 
 
-def abel_terms_needed(radii) -> int:
-    """Smallest truncation satisfying r**terms < 1e-16 at the largest radius."""
-    r = max(radii)
+def abel_terms_needed(r: float) -> int:
+    """Smallest truncation satisfying r**terms < 1e-16 at the radius ``r``."""
     return int(math.ceil(math.log(1e-16) / math.log(r))) + 1
 
 
 def _past_cutoff(logc: np.ndarray, r: float, first: int = 1) -> int:
-    """Least k >= abel_terms_needed((r,)) with log|gen_binom(n, k) * r**k| below
+    """Least k >= abel_terms_needed(r) with log|gen_binom(n, k) * r**k| below
     the tail cutoff, or 0 if none; ``logc`` holds log|gen_binom(n, k)| from k = ``first``."""
-    kmin = max(abel_terms_needed((r,)), first)
+    kmin = max(abel_terms_needed(r), first)
     k = np.arange(kmin, first + logc.size, dtype=float)
     (hit,) = np.nonzero(logc[kmin - first:] + k * math.log(r) < _ABEL_CUT_LOG)
     return kmin + int(hit[0]) if hit.size else 0

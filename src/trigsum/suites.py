@@ -368,7 +368,7 @@ def _expected_row(key: tuple, phis: tuple, row: list[SuiteCase], tables: _Tables
         return [evaluate_closed(kind, n, phi).value for phi in phis]
     if source is ExpectedSource.CATALOG:
         return [_catalog_value(case.spec) for case in row]
-    # the row polynomial through the conjugate-pair path
+    # the row polynomial by one Horner pass at p: its real and imaginary parts
     return tables.phase_series(n, phis)[kind is SeriesKind.SINE]
 
 

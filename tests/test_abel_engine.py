@@ -261,7 +261,7 @@ def test_abel_term_budget_at_default_radii(n, terms):
 
 def _meets_cutoff(n, r, k):
     """Whether term k is past the budget's cutoff, from 30-digit logarithms."""
-    if k < abel_terms_needed((r,)):
+    if k < abel_terms_needed(r):
         return False
     with mp.workdps(30):
         return mp.log(abs(mp.binomial(mp.mpf(n), k))) + k * mp.log(mp.mpf(r)) < _ABEL_CUT_LOG
@@ -269,7 +269,7 @@ def _meets_cutoff(n, r, k):
 
 def _term_count_by_loop(n, r):
     """The budget by a running sum of logarithms, one index at a time."""
-    logr, kmin = math.log(r), abel_terms_needed((r,))
+    logr, kmin = math.log(r), abel_terms_needed(r)
     lc, k = 0.0, 0
     while True:
         a = n - k

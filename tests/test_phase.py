@@ -8,7 +8,6 @@ from trigsum import (
     binom_prefix,
     binomial_phase_power,
     evaluate_closed,
-    phase_point,
     series_at_phase,
 )
 from trigsum.phase import binomial_phase_grid, series_at_phase_grid
@@ -16,22 +15,9 @@ from trigsum.phase import binomial_phase_grid, series_at_phase_grid
 GRID = [math.radians(d) for d in range(-179, 180, 3)]
 
 
-def test_phase_pair_axis_cases():
-    p = phase_point(0.0)
-    assert (p.real, p.imag) == (1.0, 0.0)
-    assert p.conjugate() == complex(1.0, -0.0)
-    p = phase_point(0.5 * math.pi)
-    assert p.imag == 1.0
-    assert abs(p.real) < 1e-16
-
-
-def test_phase_pair_product_is_unity():
-    for phi in (math.pi / 3.0, 1.0, -2.4):
-        p = phase_point(phi)
-        prod = p * p.conjugate()
-        assert abs(prod.real - 1.0) <= 1e-15
-        assert prod.imag == 0.0
-        assert abs(p.real * p.real + p.imag * p.imag - 1.0) <= 1e-15
+def _point(x):
+    """The unit-circle point cos(x) + i sin(x)."""
+    return complex(math.cos(x), math.sin(x))
 
 
 def test_series_at_phase_constant():
@@ -93,7 +79,7 @@ def test_conjugate_reality_of_horner_path():
     coeffs = binom_prefix(9, 10)
     scale = sum(abs(c) for c in coeffs)
     for phi in GRID:
-        p = phase_point(phi)
+        p = _point(phi)
         dp = horner(coeffs, p)
         dq = horner(coeffs, p.conjugate())
         diff = dq - dp.conjugate()
@@ -105,8 +91,8 @@ def test_conjugate_reality_of_horner_path():
 def test_half_angle_factorisation():
     # 1 + p = (sqrt(p) + sqrt(q)) sqrt(p) on the principal branch
     for phi in GRID:
-        root = phase_point(0.5 * phi)
-        lhs = 1.0 + phase_point(phi)
+        root = _point(0.5 * phi)
+        lhs = 1.0 + _point(phi)
         rhs = (root + root.conjugate()) * root
         assert abs(lhs.real - rhs.real) <= 1e-13
         assert abs(lhs.imag - rhs.imag) <= 1e-13
@@ -116,7 +102,7 @@ def test_moment_identity_half_integer_powers():
     # p^alpha + q^alpha = 2 cos(alpha phi) for alpha in half-integer steps,
     # with p^alpha built from integer powers of the half-angle point
     for phi in [math.radians(d) for d in range(-175, 176, 25)]:
-        root = phase_point(0.5 * phi)
+        root = _point(0.5 * phi)
         for twice_alpha in range(1, 17):
             alpha = 0.5 * twice_alpha
             za = root ** twice_alpha
@@ -181,5 +167,28 @@ def test_phase_series_kernel_has_the_bits_of_a_complex_horner_loop(n, phis):
     grid = series_at_phase_grid(coeffs, phis)
     for j, phi in enumerate(phis):
         expected = _bits(_complex_horner(coeffs, phi))
+        assert _bits(series_at_phase(coeffs, phi)) == expected
+        assert _bits((grid[0][j], grid[1][j])) == expected
+
+
+def _complex_horner_at_p(coeffs, phi):
+    # (Re, Im) of one Horner loop at p on CPython's complex
+    acc = complex(coeffs[-1])
+    p = _point(phi)
+    for c in reversed(coeffs[:-1]):
+        acc = acc * p + c
+    return acc.real, acc.imag
+
+
+_EDGE_COEFFS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e300, -1e300]
+_ROWS = st.lists(st.floats(-1e300, 1e300) | st.sampled_from(_EDGE_COEFFS), min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=_ROWS, phis=_ANGLES)
+def test_phase_series_is_one_complex_horner_pass_at_p_on_any_finite_row(coeffs, phis):
+    grid = series_at_phase_grid(coeffs, phis)
+    for j, phi in enumerate(phis):
+        expected = _bits(_complex_horner_at_p(coeffs, phi))
         assert _bits(series_at_phase(coeffs, phi)) == expected
         assert _bits((grid[0][j], grid[1][j])) == expected

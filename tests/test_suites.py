@@ -11,7 +11,6 @@ import pytest
 
 import trigsum
 from trigsum import (
-    ConjugacyError,
     DivergentSeriesError,
     DomainError,
     ExpectedSource,
@@ -29,7 +28,6 @@ from trigsum import (
     series_at_phase,
     write_report,
 )
-from trigsum import phase
 from trigsum.suites import SUITE_NAMES, run_cases
 
 
@@ -268,27 +266,3 @@ def test_exponents_minus_zero_and_zero_form_two_rows():
     sine_closed = results[-4]  # n = -0.0, sin, phi = 1.0, closed form
     assert sine_closed.case.spec.n == 0.0 and sine_closed.expected == 0.0
     assert math.copysign(1.0, sine_closed.case.spec.n) == math.copysign(1.0, sine_closed.expected) == -1.0
-
-
-def test_a_phase_row_raises_at_its_first_angle_over_the_residue_bound(monkeypatch):
-    # A sound kernel forms q's Horner values as the exact mirror of p's, so
-    # the residue is exactly 0 at every angle and even a bound of 0 passes.
-    # A product broken where sin(phi) > 0.9 leaves a residue at 2.0 and
-    # -2.0 rad only; the row must raise at 2.0, as the case alone does.
-    cmul = phase._cmul
-    monkeypatch.setattr(phase, "_cmul", lambda ar, ai, br, bi: (
-        cmul(ar, ai, br, bi)[0], cmul(ar, ai, br, bi)[1] + 1e-6 * (bi > 0.9)))
-    monkeypatch.setattr(phase, "RESIDUE_BOUND", 0.0)
-    coeffs = binom_prefix(7, 8)
-    phis = (0.0, 1.0, 2.0, -2.0)
-    for phi in phis[:2]:
-        series_at_phase(coeffs, phi)
-    with pytest.raises(ConjugacyError) as alone:
-        series_at_phase(coeffs, phis[2])
-    assert "phi=2.0 " in str(alone.value)
-    cases = [SuiteCase(SeriesSpec(kind, 7.0, phi), SummationMethod.PHASE,
-                       ExpectedSource.PHASE_SERIES, tolerance=1e-9)
-             for kind in (SeriesKind.COSINE, SeriesKind.SINE) for phi in phis]
-    with pytest.raises(ConjugacyError) as grouped:
-        run_cases(cases)
-    assert str(grouped.value) == str(alone.value)
