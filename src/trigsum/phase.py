@@ -16,8 +16,8 @@ Delta(p) + Delta(q) overflows, as on the row [1.7e308].  For the
 binomial row Delta(p) collapses further to (1+p)**n, giving a second,
 independent evaluation path for integer exponents.  Both paths carry a
 complex number as a (re, im) pair and run split real arithmetic on it, on
-Python floats for one angle or numpy arrays for an angle grid alike, with
-the bits of CPython's ``complex`` at every angle.
+Python floats for one angle or numpy arrays for a sequence of angles alike,
+with the bits of CPython's ``complex`` at every angle.
 """
 
 from __future__ import annotations
@@ -70,37 +70,33 @@ def _power(n, c, s):
     return rr, ri
 
 
-def _on_grid(kernel, phis) -> tuple[np.ndarray, np.ndarray]:
-    """kernel(cos, sin) on the cosines and sines of an array of angles, taken
-    as the one-angle calls take them: arrays of cosine and sine sums."""
-    phis = np.asarray(phis, dtype=float).tolist()
+def _at(kernel, first, phi):
+    """kernel(first, cos, sin) at the angle ``phi`` (floats back) or at each
+    angle of a sequence ``phi`` (arrays back, each entry with the bits of its
+    one-angle call)."""
+    phis = np.asarray(phi, dtype=float)
+    if not phis.ndim:
+        return kernel(first, math.cos(phi), math.sin(phi))
+    phis = phis.tolist()
     c = np.array([math.cos(x) for x in phis])
     s = np.array([math.sin(x) for x in phis])
-    return tuple(np.array(np.broadcast_to(v, c.shape)) for v in kernel(c, s))
+    return tuple(np.array(np.broadcast_to(v, c.shape)) for v in kernel(first, c, s))
 
 
-def series_at_phase(coeffs, phi: float) -> tuple[float, float]:
-    """Cosine and sine sums of a finite coefficient row via the phase pair.
+def series_at_phase(coeffs, phi):
+    """Cosine and sine sums of a finite coefficient row via the phase pair,
+    at one angle or at each angle of a sequence.
 
     Evaluates the polynomial at p by Horner accumulation; see ``_horner``.
     """
-    return _horner(coeffs, math.cos(phi), math.sin(phi))
+    return _at(_horner, coeffs, phi)
 
 
-def series_at_phase_grid(coeffs, phis) -> tuple[np.ndarray, np.ndarray]:
-    """``series_at_phase`` at each angle of ``phis``, with the bits of its one-angle call."""
-    return _on_grid(lambda c, s: _horner(coeffs, c, s), phis)
-
-
-def binomial_phase_power(n: int, phi: float) -> tuple[float, float]:
-    """(cosine sum, sine sum) of the full binomial row as (1 + p)**n.
+def binomial_phase_power(n: int, phi):
+    """(cosine sum, sine sum) of the full binomial row as (1 + p)**n, at one
+    angle or at each angle of a sequence.
 
     The real and imaginary parts of (1+p)**n are exactly the two series
     sums by conjugate symmetry.  Only integer n in 0..64 is accepted.
     """
-    return _power(n, math.cos(phi), math.sin(phi))
-
-
-def binomial_phase_grid(n: int, phis) -> tuple[np.ndarray, np.ndarray]:
-    """``binomial_phase_power`` at each angle of ``phis``, with the bits of its one-angle call."""
-    return _on_grid(lambda c, s: _power(n, c, s), phis)
+    return _at(_power, n, phi)

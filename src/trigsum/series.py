@@ -568,22 +568,16 @@ def _dd_coeff_arrays(n: float, count: int):
 
 
 def _dd_power_arrays(r, count: int):
-    """r**k for k < count in double-double, by doubling: r**[L, 2L) = r**[0, L) * r**L.
+    """r**k for k < count in double-double: a prefix-product scan
+    (``_dd_scan_axis0`` with dd.mul) of (1, r, r, ...).
 
     ``r`` is one radius, giving arrays of ``count`` entries, or an array of
     radii, giving arrays shaped (count, radii).
     """
     r = np.asarray(r, dtype=float)
-    hi = np.ones((count,) + r.shape)
-    lo = np.zeros_like(hi)
-    ph, pl = r, np.zeros_like(r)
-    size = 1
-    while size < count:
-        step = min(size, count - size)
-        hi[size:size + step], lo[size:size + step] = dd.mul(hi[:step], lo[:step], ph, pl)
-        ph, pl = dd.mul(ph, pl, ph, pl)
-        size += step
-    return hi, lo
+    hi = np.broadcast_to(r, (count,) + r.shape).copy()
+    hi[0] = 1.0
+    return _dd_scan_axis0(dd.mul, hi, np.zeros_like(hi))
 
 
 def _dd_reduce_axis0(th: np.ndarray, tl: np.ndarray):

@@ -28,7 +28,7 @@ from .closed_forms import (
     special_value_catalog,
 )
 from .exceptions import DivergentSeriesError, DomainError
-from .phase import binomial_phase_grid, series_at_phase_grid
+from .phase import binomial_phase_power, series_at_phase
 from .series import (
     SeriesKind,
     SeriesSpec,
@@ -135,19 +135,24 @@ def _grid_deg(lo: float, hi: float, step: float, exclude_zero: bool = False) -> 
 # Suite builders
 # ----------------------------------------------------------------------
 
-def _build_finite_integer(step: float | None) -> list[SuiteCase]:
-    step = 1.0 if step is None else step
+def _sweep(ns, kinds, degrees, variants) -> list[SuiteCase]:
+    """One case per keyword set of ``variants(n)`` at each exponent, kind and
+    angle in degrees, in that order.  ``variants`` runs once per exponent,
+    so its cases share one tolerance object; the cases at one angle share one spec."""
     cases = []
-    for n in range(0, 11):
-        for kind in (SeriesKind.COSINE, SeriesKind.SINE):
-            for d in _grid_deg(-179.0, 179.0, step):
-                cases.append(SuiteCase(
-                    spec=SeriesSpec(kind, float(n), math.radians(d)),
-                    method=SummationMethod.PARTIAL,
-                    expected_source=ExpectedSource.CLOSED_FORM,
-                    tolerance=1e-10,
-                ))
+    for n in ns:
+        shared = variants(n)
+        for kind in kinds:
+            for d in degrees:
+                spec = SeriesSpec(kind, n, math.radians(d))
+                cases.extend(SuiteCase(spec=spec, **kw) for kw in shared)
     return cases
+
+
+def _build_finite_integer(step: float | None) -> list[SuiteCase]:
+    grid = _grid_deg(-179.0, 179.0, 1.0 if step is None else step)
+    partial = dict(method=SummationMethod.PARTIAL, expected_source=ExpectedSource.CLOSED_FORM, tolerance=1e-10)
+    return _sweep(map(float, range(0, 11)), SeriesKind, grid, lambda n: (partial,))
 
 
 _QUARTER_TURN_LITERALS = {2: 0.0, 3: -2.0, 4: -4.0, 5: -4.0, 6: 0.0, 7: 8.0, 8: 16.0}
@@ -172,27 +177,14 @@ def _build_quarter_turn(step: float | None) -> list[SuiteCase]:
 
 
 def _build_negative_integer(step: float | None) -> list[SuiteCase]:
-    step = 2.0 if step is None else step
-    grid = _grid_deg(-170.0, 170.0, step, exclude_zero=True)
-    cases = []
-    for m in range(1, 7):
-        for d in grid:
-            cases.append(SuiteCase(
-                spec=SeriesSpec(SeriesKind.COSINE, float(-m), math.radians(d)),
-                method=SummationMethod.ABEL,
-                expected_source=ExpectedSource.CLOSED_FORM,
-                tolerance=1e-6,
-                radii=NEGATIVE_SUITE_RADII,
-            ))
-    for m in range(1, 7):
-        for d in grid:
-            cases.append(SuiteCase(
-                spec=SeriesSpec(SeriesKind.COSINE, float(-m), math.radians(d)),
-                method=SummationMethod.REDUCED,
-                expected_source=ExpectedSource.CLOSED_FORM,
-                tolerance=1e-12,
-            ))
-    return cases
+    grid = _grid_deg(-170.0, 170.0, 2.0 if step is None else step, exclude_zero=True)
+    ns = [float(-m) for m in range(1, 7)]
+    abel = dict(method=SummationMethod.ABEL, expected_source=ExpectedSource.CLOSED_FORM,
+                tolerance=1e-6, radii=NEGATIVE_SUITE_RADII)
+    reduced = dict(method=SummationMethod.REDUCED, expected_source=ExpectedSource.CLOSED_FORM, tolerance=1e-12)
+    # every Abel case first, then every reduced one
+    return (_sweep(ns, (SeriesKind.COSINE,), grid, lambda n: (abel,))
+            + _sweep(ns, (SeriesKind.COSINE,), grid, lambda n: (reduced,)))
 
 
 def _build_half_integer(step: float | None) -> list[SuiteCase]:
@@ -239,24 +231,15 @@ def _build_lambda(step: float | None) -> list[SuiteCase]:
     return cases
 
 
+def _phase_variants(n: float) -> tuple[dict, ...]:
+    tol = 1e-12 * 2.0 ** n
+    return tuple(dict(method=SummationMethod.PHASE, expected_source=source, tolerance=tol)
+                 for source in (ExpectedSource.PHASE_SERIES, ExpectedSource.CLOSED_FORM))
+
+
 def _build_phase_equivalence(step: float | None) -> list[SuiteCase]:
-    step = 1.0 if step is None else step
-    grid = _grid_deg(-179.0, 179.0, step)
-    cases = []
-    for n in range(0, 21):
-        tol = 1e-12 * 2.0 ** n
-        for kind in (SeriesKind.COSINE, SeriesKind.SINE):
-            for d in grid:
-                spec = SeriesSpec(kind, float(n), math.radians(d))
-                cases.append(SuiteCase(
-                    spec=spec, method=SummationMethod.PHASE,
-                    expected_source=ExpectedSource.PHASE_SERIES, tolerance=tol,
-                ))
-                cases.append(SuiteCase(
-                    spec=spec, method=SummationMethod.PHASE,
-                    expected_source=ExpectedSource.CLOSED_FORM, tolerance=tol,
-                ))
-    return cases
+    grid = _grid_deg(-179.0, 179.0, 1.0 if step is None else step)
+    return _sweep(map(float, range(0, 21)), SeriesKind, grid, _phase_variants)
 
 
 _BUILDERS = {
@@ -322,9 +305,9 @@ class _Tables:
 
     def __init__(self, rows: dict[tuple, tuple]):
         self.rotations = functools.cache(lambda phis: rotations(phis, EXACT_INTEGER_LIMIT + 1))
-        self.phase_power = functools.cache(binomial_phase_grid)
+        self.phase_power = functools.cache(binomial_phase_power)
         self.phase_series = functools.cache(
-            lambda n, phis: series_at_phase_grid(binom_prefix(n, int(n) + 1), phis))
+            lambda n, phis: series_at_phase(binom_prefix(n, int(n) + 1), phis))
         self.abel = functools.cache(lambda kind, radii, phis: _abel_grid(rows, kind, radii, phis))
 
 

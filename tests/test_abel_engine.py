@@ -25,7 +25,7 @@ from trigsum import (
     abel_sum,
     classify,
 )
-from trigsum import series
+from trigsum import dd, series
 from trigsum.binom import binom_scan, gen_binom_exact
 from trigsum.series import (
     _ABEL_CUT_LOG,
@@ -66,7 +66,9 @@ def test_dd_trig_table_against_mpmath():
                     for k in range(0, SUITE_KMAX, 997):
                         err = _dd_value(hi[k, j], lo[k, j]) - exact(k * mp.mpf(phi))
                         worst = max(worst, abs(float(err)))
-    assert worst <= 7.3e-28
+    # every z**L read from mpmath: 1.56e-31 (a table stepped from one z per
+    # angle reaches 2.5e-28, and then accepts the branch point below)
+    assert worst <= 2e-31
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -100,6 +102,30 @@ def test_dd_power_arrays_against_mpmath(r):
             exact = mp.mpf(r) ** k
             if exact > 1e-280:  # below that the double-double underflows
                 assert abs(_dd_value(hi[k], lo[k]) - exact) <= 1e-28 * exact
+
+
+def _dd_powers_by_doubling(r, count):
+    """The former r**k construction: r**[L, 2L) = r**[0, L) * r**L by doubling."""
+    r = np.asarray(r, dtype=float)
+    hi = np.ones((count,) + r.shape)
+    lo = np.zeros_like(hi)
+    ph, pl = r, np.zeros_like(r)
+    size = 1
+    while size < count:
+        step = min(size, count - size)
+        hi[size:size + step], lo[size:size + step] = dd.mul(hi[:step], lo[:step], ph, pl)
+        ph, pl = dd.mul(ph, pl, ph, pl)
+        size += step
+    return hi, lo
+
+
+@pytest.mark.parametrize("r", [0.5, 0.996, np.array(NEGATIVE_SUITE_RADII), np.array(DEFAULT_ABEL_RADII)],
+                         ids=["0.5", "0.996", "suite_radii", "default_radii"])
+def test_dd_power_arrays_match_the_doubling_by_hex(r):
+    for count in [*range(1, 66), SUITE_KMAX]:
+        for got, want in zip(_dd_power_arrays(r, count), _dd_powers_by_doubling(r, count)):
+            assert got.shape == want.shape == (count,) + np.shape(r)
+            assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want.ravel().tolist()]
 
 
 def _f64_terms_by_loop(kind, n, phi, r, count):

@@ -10,7 +10,6 @@ from trigsum import (
     evaluate_closed,
     series_at_phase,
 )
-from trigsum.phase import binomial_phase_grid, series_at_phase_grid
 
 GRID = [math.radians(d) for d in range(-179, 180, 3)]
 
@@ -153,7 +152,7 @@ _ANGLES = st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, math.pi, -
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(0, 64), phis=_ANGLES)
 def test_phase_power_kernel_has_the_bits_of_cpython_complex_power(n, phis):
-    grid = binomial_phase_grid(n, np.array(phis))
+    grid = binomial_phase_power(n, np.array(phis))
     for j, phi in enumerate(phis):
         z = (1 + complex(math.cos(phi), math.sin(phi))) ** n
         assert _bits(binomial_phase_power(n, phi)) == _bits((z.real, z.imag))
@@ -164,7 +163,7 @@ def test_phase_power_kernel_has_the_bits_of_cpython_complex_power(n, phis):
 @given(n=st.integers(0, 20), phis=_ANGLES)
 def test_phase_series_kernel_has_the_bits_of_a_complex_horner_loop(n, phis):
     coeffs = binom_prefix(n, n + 1)
-    grid = series_at_phase_grid(coeffs, phis)
+    grid = series_at_phase(coeffs, phis)
     for j, phi in enumerate(phis):
         expected = _bits(_complex_horner(coeffs, phi))
         assert _bits(series_at_phase(coeffs, phi)) == expected
@@ -187,8 +186,21 @@ _ROWS = st.lists(st.floats(-1e300, 1e300) | st.sampled_from(_EDGE_COEFFS), min_s
 @settings(max_examples=300, deadline=None)
 @given(coeffs=_ROWS, phis=_ANGLES)
 def test_phase_series_is_one_complex_horner_pass_at_p_on_any_finite_row(coeffs, phis):
-    grid = series_at_phase_grid(coeffs, phis)
+    grid = series_at_phase(coeffs, phis)
     for j, phi in enumerate(phis):
         expected = _bits(_complex_horner_at_p(coeffs, phi))
         assert _bits(series_at_phase(coeffs, phi)) == expected
         assert _bits((grid[0][j], grid[1][j])) == expected
+
+
+@pytest.mark.parametrize("as_angles", [tuple, list, np.array])
+def test_a_sequence_of_angles_gives_arrays_of_the_one_angle_bits(as_angles):
+    phis = [-math.pi, -2.0, -0.0, 0.0, 1e-3, 0.5 * math.pi, 3.0]
+    for func, first in [(series_at_phase, [-0.0]), (series_at_phase, binom_prefix(7, 8)),
+                        (binomial_phase_power, 0), (binomial_phase_power, 9)]:
+        grid = func(first, as_angles(phis))
+        assert all(isinstance(v, np.ndarray) and v.shape == (len(phis),) for v in grid)
+        for j, phi in enumerate(phis):
+            one = func(first, phi)
+            assert all(type(v) is float for v in one)
+            assert _bits((grid[0][j], grid[1][j])) == _bits(one)

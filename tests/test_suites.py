@@ -266,3 +266,58 @@ def test_exponents_minus_zero_and_zero_form_two_rows():
     sine_closed = results[-4]  # n = -0.0, sin, phi = 1.0, closed form
     assert sine_closed.case.spec.n == 0.0 and sine_closed.expected == 0.0
     assert math.copysign(1.0, sine_closed.case.spec.n) == math.copysign(1.0, sine_closed.expected) == -1.0
+
+
+def _field_text(v):
+    """A case field as text: floats by hex, which keeps the sign of a zero."""
+    if isinstance(v, tuple):
+        return "(" + ",".join(map(_field_text, v)) + ")"
+    return v.hex() if isinstance(v, float) else str(getattr(v, "value", v))
+
+
+#: build_suite output as the former per-suite loops built it.  Report bodies
+#: carry no tolerance, expected source or radii, so they are pinned here.
+_CASES_SHA256 = {
+    ("finite_integer", None): "a28cfe5f9498e8758605d74bb90f0c80e815ffb9a3ca45e625d49ee0fbd6156a",
+    ("negative_integer", None): "843f2806526e54d1fd8311acc6b1e7146ea8473fdf31b31d92f6805bc3c64e34",
+    ("half_integer", None): "52e8d4dc5dce2e45ea024a9b01c5d76a62579b804b1e0b5ae5152f3e2a477b29",
+    ("quarter_turn", None): "abf15d4dc9fcae9fc4fe66805deb2da33be13e1b177650cacf827636882ccc11",
+    ("lambda", None): "2881ddb01a2836f8979a15898daaed682aa47a89c28f0ca9992c4b991608af9d",
+    ("phase_equivalence", None): "24dfe058e85e8da4d91889644994a96f4b215a5ccf7d894a9b44d9c89e41443c",
+    ("all", None): "e4cd91fcbed140537638022b907ac8f8bf864db6e839ecb84bafa21c023541e1",
+    ("finite_integer", 0.5): "5cbb1de3d4a20aff5b33eb03acde700985dfd5ab0fa908c04bcdf5f6de657cc4",
+    ("negative_integer", 0.5): "408ce9956d409c0f83568eccf9901880f3ebd89a858808e8f01338107f34d916",
+    ("half_integer", 0.5): "52e8d4dc5dce2e45ea024a9b01c5d76a62579b804b1e0b5ae5152f3e2a477b29",
+    ("quarter_turn", 0.5): "abf15d4dc9fcae9fc4fe66805deb2da33be13e1b177650cacf827636882ccc11",
+    ("lambda", 0.5): "2881ddb01a2836f8979a15898daaed682aa47a89c28f0ca9992c4b991608af9d",
+    ("phase_equivalence", 0.5): "5d4321884b10387015b6ede5507a3dd83f50134af55484e1770e661d2d627819",
+    ("all", 0.5): "a6850e4ca5b25d437471ae2a267bc7f1bd00274c758d2013cc4e6f5fe92ee3c0",
+}
+
+
+@pytest.mark.parametrize("step", [None, 0.5])
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_build_suite_gives_the_pinned_cases_field_by_field(name, step):
+    digest = hashlib.sha256()
+    for c in build_suite(name, step):
+        fields = (c.spec.kind, c.spec.n, c.spec.phi, c.method, c.expected_source, c.tolerance, c.note,
+                  c.radii, c.expected_literal, c.expect_divergent)
+        digest.update(("|".join(map(_field_text, fields)) + "\n").encode())
+    assert digest.hexdigest() == _CASES_SHA256[(name, step)]
+
+
+def test_phase_rows_make_one_phase_call_per_exponent_on_a_tuple_of_angles(monkeypatch):
+    calls = {"series_at_phase": [], "binomial_phase_power": []}
+    for name, log in calls.items():
+        def spy(first, phis, _log=log, _fn=getattr(trigsum.suites, name)):
+            _log.append((first, phis))
+            return _fn(first, phis)
+        monkeypatch.setattr(trigsum.suites, name, spy)
+    cases = build_suite("phase_equivalence", 3.0)
+    run_cases(cases)
+    angles = tuple(sorted({c.spec.phi for c in cases}))
+    for log in calls.values():
+        assert [type(phis) for _first, phis in log] == [tuple] * 21
+        assert all(sorted(phis) == list(angles) for _first, phis in log)
+    assert [n for n, _ in calls["binomial_phase_power"]] == [float(n) for n in range(21)]
+    assert [list(row) for row, _ in calls["series_at_phase"]] == [binom_prefix(n, n + 1) for n in range(21)]
