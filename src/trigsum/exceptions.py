@@ -8,8 +8,8 @@ class TrigsumError(Exception):
 class DomainError(TrigsumError):
     """An input lies outside the domain of the requested evaluation.
 
-    A series needs a finite exponent and angle, the phase path an integer
-    exponent in 0..64.  Closed forms never raise it: they return nan.
+    A series needs a finite exponent and angle and finite float64 terms and
+    sums, the phase path an integer exponent in 0..64.  Closed forms return nan.
     """
 
 

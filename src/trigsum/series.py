@@ -53,10 +53,11 @@ _ABEL_CUT_LOG = math.log(1e-22)
 #: and the largest automatic Abel budget before a radius counts as too close to 1.
 MAX_TERMS = 5_000_000
 
-# Most elements in one block of the Abel engine's trig table, or in one
-# chunk of a term budget.  Larger blocks cost memory and, past about 2**13
-# elements, run the double-double kernels slower per element.
+# Most elements in one block of the Abel engine's trig table, of a term
+# budget's chunk or of plain-double terms.  Larger blocks cost memory and,
+# past about 2**13 elements, run the double-double kernels slower per element.
 _BLOCK_ELEMS = 2 ** 12
+_EXP_BIAS = 1073  # np.frexp gives exponents -1073 .. 1024 for finite doubles
 
 
 class SeriesKind(str, enum.Enum):
@@ -187,9 +188,62 @@ def trig_values(phi, count: int, kind: SeriesKind) -> np.ndarray:
     return rot.imag if SeriesKind(kind) is SeriesKind.SINE else rot.real
 
 
-def _term_array(spec: SeriesSpec, count: int) -> np.ndarray:
-    """The first ``count`` terms gen_binom(n, k) * trig(k*phi) in plain doubles."""
-    return binom_scan(spec.n, count) * trig_values(spec.phi, count, spec.kind)
+def _term_blocks(spec: SeriesSpec, count: int):
+    """The terms gen_binom(n, k) * trig(k*phi), k < count, as (first k, block) pairs.
+
+    Each block's np.multiply.accumulate scans start from the last coefficient
+    and rotation of the block before, keeping the bits of binom_scan(n, count)
+    * trig_values(phi, count, kind).  Blocks hold _BLOCK_ELEMS terms but the
+    first, which takes the remainder (so any exact-branch row, count <= n <= 64),
+    since numpy rounds a 1-term block's 2-element complex accumulate differently.
+    """
+    first = count % _BLOCK_ELEMS or _BLOCK_ELEMS
+    coeffs, rot = binom_scan(spec.n, first), rotations(spec.phi, first)
+    part = "imag" if spec.kind is SeriesKind.SINE else "real"
+    yield 0, coeffs * getattr(rot, part)
+    z = complex(math.cos(spec.phi), math.sin(spec.phi))
+    for start in range(first, count, _BLOCK_ELEMS):
+        k = np.arange(start - 1.0, start + _BLOCK_ELEMS - 1.0)
+        coeffs = np.multiply.accumulate(np.concatenate((coeffs[-1:], (spec.n - k) / (k + 1.0))))[1:]
+        rot = np.multiply.accumulate(np.concatenate((rot[-1:], np.full(_BLOCK_ELEMS, z))))[1:]
+        yield start, coeffs * getattr(rot, part)
+
+
+class _ExactSum:
+    """Exact sum of float64 blocks, rounded once: the bits of math.fsum.
+
+    ``add`` splits each m * 2**e (np.frexp) into integers hi * 2**26 + lo =
+    m * 2**53 and adds lo at exponent e and hi at e + 26 into one row of
+    buckets by np.bincount, exact for up to 2**26 elements (MAX_TERMS is
+    fewer).  ``value`` rounds the integer total once by int true division,
+    which CPython rounds correctly (Neal 2015, "small superaccumulator").
+    Non-finite input or overflow raise DomainError.
+    """
+
+    def __init__(self):
+        self._seen, self._buckets = 0, np.zeros(2 * _EXP_BIAS)
+
+    def add(self, x: np.ndarray) -> _ExactSum:
+        for start in range(0, x.size, _BLOCK_ELEMS):
+            block = x[start:start + _BLOCK_ELEMS]
+            if not np.isfinite(block).all():
+                k = self._seen + start + int(np.argmin(np.isfinite(block)))
+                raise DomainError(f"float64 sum: the term or partial sum at k = {k} is not finite")
+            m, e = np.frexp(block)
+            hi = np.trunc(m * 2.0 ** 27)
+            e += _EXP_BIAS
+            self._buckets += np.bincount(e, m * 2.0 ** 53 - hi * 2.0 ** 26, self._buckets.size)
+            self._buckets[26:] += np.bincount(e, hi, self._buckets.size - 26)
+        self._seen += x.size
+        return self
+
+    def value(self) -> float:
+        used = np.flatnonzero(self._buckets)  # every bucket an integer below 2**53
+        total = sum(v << e for e, v in zip(used.tolist(), self._buckets[used].astype(np.int64).tolist()))
+        try:
+            return total / (1 << _EXP_BIAS + 53)  # bucket 0 holds units of 2**-1126
+        except OverflowError:
+            raise DomainError("float64 sum: the exact sum overflows a double") from None
 
 
 #: Per method: the classes it cannot sum, and the exponent at or below which
@@ -233,7 +287,7 @@ def _whole_row(spec: SeriesSpec, method: SummationMethod, conv: ConvergenceClass
     2**-53 on term k, so the residual is count * 2**-53 * sum_k |t_k|.
     """
     count = int(spec.n) + 1
-    ts = _term_array(spec, count).tolist()
+    ts = (binom_scan(spec.n, count) * trig_values(spec.phi, count, spec.kind)).tolist()
     residual = count * 2.0 ** -53 * math.fsum(map(abs, ts))
     return SummationResult(math.fsum(ts), method, count, residual, conv)
 
@@ -255,8 +309,8 @@ def partial_sum(spec: SeriesSpec, terms: int) -> SummationResult:
     """Truncated sum of the first ``terms`` terms.
 
     The residual estimate is the magnitude of the last included term (see
-    ``_whole_row`` for a whole terminating row); a row ``_settle`` refuses
-    raises, and a row it settles is not summed.
+    ``_whole_row`` for a whole terminating row).  A row ``_settle`` refuses
+    raises, a row it settles is not summed; see _ExactSum for DomainError.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
@@ -266,8 +320,10 @@ def partial_sum(spec: SeriesSpec, terms: int) -> SummationResult:
     # all coefficients beyond k = n vanish exactly for a terminating row
     if conv is ConvergenceClass.FINITE and terms > spec.n:
         return _whole_row(spec, SummationMethod.PARTIAL, conv)
-    ts = _term_array(spec, terms).tolist()
-    return SummationResult(math.fsum(ts), SummationMethod.PARTIAL, terms, abs(ts[-1]), conv)
+    total = _ExactSum()
+    for _, ts in _term_blocks(spec, terms):
+        total.add(ts)
+    return SummationResult(total.value(), SummationMethod.PARTIAL, terms, abs(float(ts[-1])), conv)
 
 
 def cesaro_sum(spec: SeriesSpec, terms: int) -> SummationResult:
@@ -275,22 +331,26 @@ def cesaro_sum(spec: SeriesSpec, terms: int) -> SummationResult:
 
     The partial sums are np.cumsum of the terms, which adds in index order.
     The residual estimate compares the means of the last two windows of
-    ceil(terms/4) partial sums; it stays large when the means oscillate,
-    which is the method's own signal that it has not settled.  A row
-    ``_settle`` refuses raises, and a row it settles is not summed.
+    ceil(terms/4) partial sums; it stays large when the means oscillate, the
+    method's own signal that it has not settled.  A row ``_settle`` refuses
+    raises, a row it settles is not summed; see _ExactSum for DomainError.
     """
     if terms < 2:
         raise ValueError("terms must be >= 2")
     conv, row = _settle(spec, SummationMethod.CESARO)
     if row is not None:
         return row
-    partials = np.cumsum(_term_array(spec, terms))
-    value = math.fsum(partials.tolist()) / terms
-    w = -(-terms // 4)  # ceil
-    last = math.fsum(partials[-w:].tolist()) / w
-    prev = partials[-2 * w:-w]
-    residual = abs(last - math.fsum(prev.tolist()) / prev.size)
-    return SummationResult(value, SummationMethod.CESARO, terms, residual, conv)
+    w = -(-terms // 4)  # ceil; 2 * w <= terms
+    total, last, prev = _ExactSum(), _ExactSum(), _ExactSum()
+    carry = -0.0  # -0.0 + x is x for every x, -0.0 included
+    for start, partials in _term_blocks(spec, terms):
+        partials[0] += carry
+        carry = np.cumsum(partials, out=partials)[-1]
+        total.add(partials)
+        last.add(partials[max(terms - w - start, 0):])
+        prev.add(partials[max(terms - 2 * w - start, 0):max(terms - w - start, 0)])
+    residual = abs(last.value() / w - prev.value() / w)
+    return SummationResult(total.value() / terms, SummationMethod.CESARO, terms, residual, conv)
 
 
 # ----------------------------------------------------------------------
@@ -365,7 +425,7 @@ def _abel_term_count(r: float, logc: np.ndarray) -> int:
 
 
 def _abel_point_f64(r: float, count: int, coeffs: np.ndarray, trig: np.ndarray) -> float:
-    """One radial sample in plain doubles, summed exactly rounded by math.fsum.
+    """One radial sample in plain doubles, summed exactly rounded by _ExactSum.
 
     ``coeffs`` and ``trig`` are the prefix scans partial sums use
     (``binom_scan``, ``trig_values``), at least ``count`` long; their first
@@ -373,7 +433,7 @@ def _abel_point_f64(r: float, count: int, coeffs: np.ndarray, trig: np.ndarray) 
     np.cumprod of r, which multiplies in index order.
     """
     rk = np.cumprod(np.concatenate(([1.0], np.full(count - 1, r))))
-    return math.fsum(((coeffs[:count] * rk) * trig[:count]).tolist())
+    return _ExactSum().add((coeffs[:count] * rk) * trig[:count]).value()
 
 
 def _abel_point_dd(kind: SeriesKind, n: float, phi: float, radii):

@@ -261,6 +261,24 @@ def test_sum_non_finite_exponent_is_domain_error(capsys, n):
     assert "domain" in err
 
 
+@pytest.mark.parametrize("method", ["partial", "cesaro", "abel"])
+def test_sum_with_non_finite_float64_terms_is_domain_error(capsys, method):
+    # the coefficients of n = 1030.5 overflow a double from k = 495 on
+    code, out, err = run(capsys, "sum", "--kind", "cos", "--n", "1030.5",
+                         "--phi", "1", "--method", method)
+    assert code == 2
+    assert out == ""
+    assert "domain error" in err and "not finite" in err
+
+
+def test_sum_beyond_the_doubles_is_domain_error(capsys):
+    code, out, err = run(capsys, "sum", "--kind", "cos", "--n", "1024.5",
+                         "--phi", "0", "--method", "partial")
+    assert code == 2
+    assert out == ""
+    assert "overflows a double" in err
+
+
 def test_sum_bad_angle_is_usage_error(capsys):
     code, _, err = run(capsys, "sum", "--kind", "cos", "--n", "1",
                        "--phi", "90furlongs")

@@ -3,19 +3,36 @@
 ``trig_values`` and the float branch of ``binom_prefix`` are numpy scans
 (np.multiply.accumulate, np.cumprod); the references here are the
 step-by-step loops they replaced, which they must match bit for bit, and
-values pinned before the scans replaced the loops.
+values pinned before the scans replaced the loops.  The sums stream their
+terms in blocks through an exact accumulator; its reference is math.fsum,
+and the streamed sums' reference is one term array summed by math.fsum.
 """
 
 import math
+import random
+import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trigsum import DivergentSeriesError, SeriesKind, SeriesSpec, binom_prefix, cesaro_sum, partial_sum
+from trigsum import (
+    ConvergenceClass,
+    DivergentSeriesError,
+    DomainError,
+    SeriesKind,
+    SeriesSpec,
+    abel_sum,
+    binom_prefix,
+    cesaro_sum,
+    classify,
+    partial_sum,
+)
+from trigsum import series
 from trigsum.binom import binom_scan, gen_binom_exact
-from trigsum.series import trig_values
+from trigsum.series import _ExactSum, trig_values
 
 TERMS = 100_000
 
@@ -195,4 +212,182 @@ def test_plain_route_memory_peak_is_bounded(route):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6e6
+    # the terms stream in 4096-term blocks (about 0.4 MB); one array of
+    # 10**5 terms and its list would take 4 MB
+    assert peak < 1e6
+
+
+# ---------------------------------------------------------------- exact summation
+
+#: Lengths at and around the edges of _BLOCK_ELEMS-element blocks (4096).
+EDGE_LENGTHS = (0, 1, 2, 3, 4095, 4096, 4097, 4098, 8193)
+
+
+def _exact_sum(*blocks):
+    total = _ExactSum()
+    for block in blocks:
+        total.add(np.asarray(block, dtype=float))
+    return total.value()
+
+
+@pytest.mark.parametrize("values", [
+    [], [0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0],
+    [5e-324], [5e-324, -5e-324], [2.0 ** -1022, -5e-324], [2.0 ** -1022, 2.0 ** -1022 - 5e-324],
+    [1.0, 2.0 ** -53], [1.0, 2.0 ** -53, 2.0 ** -106], [1.0, 2.0 ** -53, -2.0 ** -106],
+    [1.0 + 2.0 ** -52, 2.0 ** -53], [-1.0, -(2.0 ** -53)],
+    [1e300, -1e300, 1e-300], [1e300, 1.0, -1e300], [1e-300, 3e-310, -1e-300],
+    [0.1] * 10, [1.7976931348623157e308, -1.7976931348623157e308, 4.9e-324],
+])
+def test_exact_sum_has_the_bits_of_fsum_at_zeros_subnormals_and_ties(values):
+    expected = math.fsum(values).hex()
+    assert _exact_sum(values).hex() == expected
+    assert _exact_sum(*([v] for v in values)).hex() == expected
+
+
+_DOUBLES = st.one_of(
+    st.floats(-1e300, 1e300),  # subnormals and both zeros included
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, 1.0, 2.0 ** -53, 2.0 ** -106]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pool=st.lists(_DOUBLES, min_size=1, max_size=12),
+       length=st.sampled_from(EDGE_LENGTHS),
+       seed=st.integers(0, 2 ** 32 - 1),
+       cancel=st.booleans(),
+       cuts=st.lists(st.integers(0, EDGE_LENGTHS[-1]), max_size=3))
+def test_exact_sum_has_the_bits_of_fsum(pool, length, seed, cancel, cuts):
+    # values drawn from the pool and from random magnitudes 1e-300..1e300;
+    # with ``cancel`` the second half is the first half negated, then shuffled
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(length) * 10.0 ** rng.integers(-300, 301, length)
+    picks = rng.random(length) < 0.5
+    x[picks] = np.array(pool)[rng.integers(len(pool), size=int(picks.sum()))]
+    if cancel:
+        x[length // 2:2 * (length // 2)] = -x[:length // 2]
+        rng.shuffle(x)
+    edges = [0, *sorted(c for c in cuts if c <= length), length]
+    expected = math.fsum(x.tolist()).hex()
+    assert _exact_sum(x).hex() == expected
+    assert _exact_sum(*(x[a:b] for a, b in zip(edges, edges[1:]))).hex() == expected
+
+
+def test_exact_sum_names_the_first_non_finite_element():
+    total = _ExactSum()
+    total.add(np.ones(5000))
+    with pytest.raises(DomainError, match=r"k = 5003 is not finite"):
+        total.add(np.array([1.0, 2.0, 3.0, math.inf, math.nan]))
+    with pytest.raises(DomainError, match=r"k = 4097 is not finite"):
+        _ExactSum().add(np.concatenate((np.zeros(4097), [math.nan])))
+
+
+def test_exact_sum_refuses_a_sum_beyond_the_doubles():
+    big = sys.float_info.max
+    with pytest.raises(DomainError, match="overflows"):
+        _exact_sum([big, big])
+    # math.fsum refuses this one too, but its exact sum is a double
+    assert _exact_sum([big, big, -big]) == big
+
+
+# ---------------------------------------------------------------- streamed sums
+
+def _list_terms(spec, count):
+    return binom_scan(spec.n, count) * trig_values(spec.phi, count, spec.kind)
+
+
+def _list_partial(spec, count):
+    """(value, residual) as partial_sum took them from one term list and math.fsum."""
+    ts = _list_terms(spec, count).tolist()
+    return math.fsum(ts), abs(ts[-1])
+
+
+def _list_cesaro(spec, count):
+    """(value, residual) as cesaro_sum took them from one np.cumsum and math.fsum."""
+    partials = np.cumsum(_list_terms(spec, count))
+    w = -(-count // 4)
+    last = math.fsum(partials[-w:].tolist()) / w
+    prev = partials[-2 * w:-w]
+    return math.fsum(partials.tolist()) / count, abs(last - math.fsum(prev.tolist()) / prev.size)
+
+
+def _list_abel_point(r, count, coeffs, trig):
+    """A float64 Abel sample as one term list summed by math.fsum."""
+    rk = np.cumprod(np.concatenate(([1.0], np.full(count - 1, r))))
+    return math.fsum(((coeffs[:count] * rk) * trig[:count]).tolist())
+
+
+#: Counts at block edges (4097 leaves one term past a block) and the default budget.
+STREAM_COUNTS = (2, 3, 4096, 4097, 4098, 8193, 12289, TERMS)
+_RNG = random.Random(2015)
+STREAM_PHIS = (0.0, math.pi / 2, math.pi) + tuple(_RNG.uniform(-math.pi, math.pi) for _ in range(3))
+
+
+def _hexes(*values):
+    return tuple(float(v).hex() for v in values)
+
+
+@pytest.mark.parametrize("kind", list(SeriesKind))
+@pytest.mark.parametrize("n", [-1.9, -1.0, -0.5, 0.5, 1.5, 7.3, 60.5])
+def test_streamed_sums_keep_the_list_path_bits(kind, n):
+    for phi in STREAM_PHIS:
+        spec = SeriesSpec(kind, n, phi)
+        conv = classify(spec)
+        zero = series._zero_row(spec, conv)
+        refused = {partial_sum: conv in (ConvergenceClass.SUMMABLE_ONLY, ConvergenceClass.DIVERGENT),
+                   cesaro_sum: conv is ConvergenceClass.DIVERGENT}
+        for count in STREAM_COUNTS:
+            for route, reference in ((partial_sum, _list_partial), (cesaro_sum, _list_cesaro)):
+                if refused[route] and not zero:
+                    with pytest.raises(DivergentSeriesError):
+                        route(spec, count)
+                    continue
+                res = route(spec, count)
+                expected = (0.0, 0.0) if zero else reference(spec, count)
+                assert _hexes(res.value, res.residual_estimate) == _hexes(*expected), (route, phi, count)
+                assert res.terms_used == (0 if zero else count)
+        outcome = _abel_outcome(spec)
+        with mock.patch.object(series, "_abel_point_f64", _list_abel_point):
+            assert outcome == _abel_outcome(spec)
+
+
+def _abel_outcome(spec):
+    # n = 60.5 is refused by DIVERGENCE_THRESHOLD after its samples are taken
+    try:
+        res = abel_sum(spec)
+    except DivergentSeriesError as exc:
+        return str(exc)
+    return _hexes(res.value, res.residual_estimate), res.terms_used
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 40, 4095, 4096, 4097, 4098, 8193])
+def test_term_blocks_hold_the_term_array_with_no_one_term_block_after_the_first(count):
+    first = count % 4096 or 4096
+    rows = [("cos", 0.5, 1.0), ("sin", -1.5, -2.5), ("cos", -0.5, -0.0)]
+    if count <= 40:
+        rows.append(("sin", 40.0, 0.7))  # binom_scan's exact branch, as partial sums truncate it
+    for kind, n, phi in rows:
+        spec = SeriesSpec(kind, n, phi)
+        blocks = list(series._term_blocks(spec, count))
+        assert [start for start, _ in blocks] == [0, *range(first, count, 4096)]
+        assert [block.size for _, block in blocks] == [first] + [4096] * (len(blocks) - 1)
+        assert _hex(np.concatenate([block for _, block in blocks])) == _hex(_list_terms(spec, count))
+
+
+@pytest.mark.parametrize("route", [partial_sum, cesaro_sum, abel_sum])
+def test_non_finite_float64_terms_raise_domain_error(route):
+    # n = 1030.5: the coefficients overflow from k = 495 on
+    spec = SeriesSpec("cos", 1030.5, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _list_terms(spec, TERMS)
+        first = {partial_sum: terms, cesaro_sum: np.cumsum(terms)}.get(route, terms)
+        k = int(np.argmin(np.isfinite(first)))
+        with pytest.raises(DomainError, match="not finite") as err:
+            route(spec) if route is abel_sum else route(spec, TERMS)
+    if route is not abel_sum:
+        assert f"k = {k} is not finite" in str(err.value)
+
+
+def test_partial_sum_beyond_the_doubles_raises_domain_error():
+    # every coefficient of n = 1024.5 is finite, but their sum is about 2**1024.5
+    with pytest.raises(DomainError, match="overflows"):
+        partial_sum(SeriesSpec("cos", 1024.5, 0.0), TERMS)
