@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath as mp
+import numpy as np
 
 from .binom import is_integer_exponent
 from .series import SeriesKind, SeriesSpec, _at_half_turn
@@ -35,34 +36,50 @@ class ClosedFormValue:
     domain_ok: bool
 
 
-def _ipow(base: float, exponent: int) -> float:
-    """base**exponent by repeated multiplication, sign-correct for base < 0."""
+def _ipow(base, exponent: int):
+    """base**exponent by repeated multiplication, sign-correct for base < 0; elementwise on an array."""
     if exponent < 0:
         return 1.0 / _ipow(base, -exponent)
     result = 1.0
-    b = base
-    e = exponent
-    while e:
-        if e & 1:
-            result *= b
-        b *= b
-        e >>= 1
+    while exponent:
+        if exponent & 1:
+            result *= base
+        base = base * base  # not *=, which would overwrite a caller's array
+        exponent >>= 1
     return result
 
 
-def evaluate_closed(kind: SeriesKind, n: float, phi: float) -> ClosedFormValue:
+def evaluate_closed(kind: SeriesKind, n: float, phi) -> ClosedFormValue:
     """Product closed form of the ``kind`` series sum_k gen_binom(n,k) trig(k*phi).
 
     Defined for every phi away from the half-turn poles for integer n, and
     for phi in (-pi, pi) for fractional n; outside, it returns nan with
-    domain_ok False and raises nothing.
+    domain_ok False and raises nothing.  At a sequence of angles both fields
+    are arrays, each entry with the bits of its one-angle call.
     """
-    sine = SeriesKind(kind) is SeriesKind.SINE
+    sine = kind == SeriesKind.SINE  # two comparisons cost less than a SeriesKind call
+    if not sine and kind != SeriesKind.COSINE:
+        SeriesKind(kind)  # raises ValueError
+    if hasattr(phi, "__len__") and np.ndim(phi):  # a sequence of angles
+        phis = np.asarray(phi, dtype=float).tolist()
+        if not is_integer_exponent(n):  # np.exp and np.log round otherwise than math's
+            parts = [evaluate_closed(kind, n, x) for x in phis]
+            return ClosedFormValue(np.array([p.value for p in parts]),
+                                   np.array([p.domain_ok for p in parts], dtype=bool))
+        base = [2.0 * math.cos(0.5 * x) for x in phis]
+        ok = ~np.array([n < 0 and (_at_half_turn(x) or b == 0.0) for x, b in zip(phis, base)], dtype=bool)
+        trig = [math.sin(0.5 * n * x) if sine else math.cos(0.5 * n * x) for x in phis]
+        with np.errstate(all="ignore"):  # quiet, as one angle is: overflow, and 1 / +-0 = +-inf
+            value = _ipow(np.array(base), int(n)) * np.array(trig)
+        return ClosedFormValue(np.where(ok, value, math.nan), ok)
     if is_integer_exponent(n):
         base = 2.0 * math.cos(0.5 * phi)
         if n < 0 and (_at_half_turn(phi) or base == 0.0):
             return ClosedFormValue(math.nan, False)
-        factor = _ipow(base, int(n))
+        try:
+            factor = _ipow(base, int(n))
+        except ZeroDivisionError:  # base**-n underflowed to +-0, and IEEE gives 1 / +-0 = +-inf
+            factor = math.copysign(math.inf, _ipow(base, -int(n)))
     else:
         base = 2.0 * math.cos(0.5 * phi) if -math.pi < phi < math.pi else 0.0
         if base <= 0.0:

@@ -280,6 +280,18 @@ def _settle(spec: SeriesSpec, method: SummationMethod) -> tuple[ConvergenceClass
     return conv, None
 
 
+def _fsums(rows) -> list[float]:
+    """math.fsum of each row of terms; DomainError where a term or a sum is not finite."""
+    try:
+        sums = [math.fsum(row) for row in rows]
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+        sums = [math.inf]
+    if not all(map(math.isfinite, sums)):
+        raise DomainError("float64 sum: a term or the sum of a terminating row is not finite")
+    return sums
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the DomainError on what overflows speaks alone
 def _whole_row(spec: SeriesSpec, method: SummationMethod, conv: ConvergenceClass) -> SummationResult:
     """A terminating row summed through k = n, exactly rounded by math.fsum.
 
@@ -288,10 +300,11 @@ def _whole_row(spec: SeriesSpec, method: SummationMethod, conv: ConvergenceClass
     """
     count = int(spec.n) + 1
     ts = (binom_scan(spec.n, count) * trig_values(spec.phi, count, spec.kind)).tolist()
-    residual = count * 2.0 ** -53 * math.fsum(map(abs, ts))
-    return SummationResult(math.fsum(ts), method, count, residual, conv)
+    total, size = _fsums((ts, map(abs, ts)))
+    return SummationResult(total, method, count, count * 2.0 ** -53 * size, conv)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def whole_row_sums(kind: SeriesKind, n: int, rot: np.ndarray) -> list[float]:
     """Whole sums of the terminating row ``n`` at each angle of an angle grid.
 
@@ -302,7 +315,7 @@ def whole_row_sums(kind: SeriesKind, n: int, rot: np.ndarray) -> list[float]:
     """
     count = int(n) + 1
     part = rot.imag if kind is SeriesKind.SINE else rot.real
-    return [math.fsum(col) for col in (binom_scan(n, count)[:, None] * part[:count]).T.tolist()]
+    return _fsums((binom_scan(n, count)[:, None] * part[:count]).T.tolist())
 
 
 def partial_sum(spec: SeriesSpec, terms: int) -> SummationResult:
@@ -321,8 +334,9 @@ def partial_sum(spec: SeriesSpec, terms: int) -> SummationResult:
     if conv is ConvergenceClass.FINITE and terms > spec.n:
         return _whole_row(spec, SummationMethod.PARTIAL, conv)
     total = _ExactSum()
-    for _, ts in _term_blocks(spec, terms):
-        total.add(ts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, ts in _term_blocks(spec, terms):
+            total.add(ts)
     return SummationResult(total.value(), SummationMethod.PARTIAL, terms, abs(float(ts[-1])), conv)
 
 
@@ -343,12 +357,13 @@ def cesaro_sum(spec: SeriesSpec, terms: int) -> SummationResult:
     w = -(-terms // 4)  # ceil; 2 * w <= terms
     total, last, prev = _ExactSum(), _ExactSum(), _ExactSum()
     carry = -0.0  # -0.0 + x is x for every x, -0.0 included
-    for start, partials in _term_blocks(spec, terms):
-        partials[0] += carry
-        carry = np.cumsum(partials, out=partials)[-1]
-        total.add(partials)
-        last.add(partials[max(terms - w - start, 0):])
-        prev.add(partials[max(terms - 2 * w - start, 0):max(terms - w - start, 0)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, partials in _term_blocks(spec, terms):
+            partials[0] += carry
+            carry = np.cumsum(partials, out=partials)[-1]
+            total.add(partials)
+            last.add(partials[max(terms - w - start, 0):])
+            prev.add(partials[max(terms - 2 * w - start, 0):max(terms - w - start, 0)])
     residual = abs(last.value() / w - prev.value() / w)
     return SummationResult(total.value() / terms, SummationMethod.CESARO, terms, residual, conv)
 
@@ -516,8 +531,9 @@ def abel_sum(spec: SeriesSpec, radii=None) -> SummationResult:
         logc = _log_coeffs(spec.n, radii[-1])
         counts = [_abel_term_count(r, logc) for r in radii]
         used = max(counts)
-        coeffs, trig = binom_scan(spec.n, used), trig_values(spec.phi, used, spec.kind)
-        hi = [_abel_point_f64(r, count, coeffs, trig) for r, count in zip(radii, counts)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs, trig = binom_scan(spec.n, used), trig_values(spec.phi, used, spec.kind)
+            hi = [_abel_point_f64(r, count, coeffs, trig) for r, count in zip(radii, counts)]
         lo, gap = [0.0] * len(radii), 0.0
     else:
         hi, lo, gap, used = _abel_point_dd(spec.kind, spec.n, spec.phi, radii)

@@ -261,6 +261,7 @@ def test_sum_non_finite_exponent_is_domain_error(capsys, n):
     assert "domain" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's warnings would come first
 @pytest.mark.parametrize("method", ["partial", "cesaro", "abel"])
 def test_sum_with_non_finite_float64_terms_is_domain_error(capsys, method):
     # the coefficients of n = 1030.5 overflow a double from k = 495 on
@@ -269,6 +270,16 @@ def test_sum_with_non_finite_float64_terms_is_domain_error(capsys, method):
     assert code == 2
     assert out == ""
     assert "domain error" in err and "not finite" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n, phi, method", [("1024", "0", "cesaro"), ("1024", "0", "abel"),
+                                            ("1029", "1", "partial")])
+def test_sum_of_a_terminating_row_beyond_the_doubles_is_domain_error(capsys, n, phi, method):
+    # these ended in an uncaught OverflowError from math.fsum (exit 1)
+    code, out, err = run(capsys, "sum", "--kind", "cos", "--n", n, "--phi", phi, "--method", method)
+    assert (code, out) == (2, "")
+    assert err.startswith("trigsum: domain error:") and "terminating row" in err
 
 
 def test_sum_beyond_the_doubles_is_domain_error(capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trigsum import (
     SeriesKind,
@@ -14,6 +15,7 @@ from trigsum import (
     reduced_neg_int,
     special_value_catalog,
 )
+from trigsum.suites import _grid_deg
 
 GRID = [math.radians(d) for d in range(-179, 180)]
 # negative exponents blow up at the half turn; stay one degree away
@@ -189,3 +191,61 @@ def test_reduced_neg_int_m3_third_turn_abel_oracle():
     # independent summability check of the m=3 zero at a third of a turn
     res = abel_sum(SeriesSpec(SeriesKind.COSINE, -3, math.pi / 3.0))
     assert res.value == pytest.approx(0.0, abs=1e-8)
+
+
+#: Angles where the closed form changes branch or loses bits: the half and
+#: one and a half turns and their neighbours (where base**n underflows for
+#: n <= -22), signed zeros, subnormals and the largest grid angles.
+_EDGE_ANGLES = [math.pi, -math.pi, 3.0 * math.pi, -3.0 * math.pi, math.nextafter(math.pi, 0.0),
+                math.nextafter(-math.pi, 0.0), math.nextafter(3.0 * math.pi, 0.0), 0.0, -0.0,
+                5e-324, -5e-324, 2.0 ** -1030, math.radians(179.0), math.radians(-179.9)]
+_SHIPPED_GRIDS = [tuple(map(math.radians, _grid_deg(-179.0, 179.0, step))) for step in (1.0, 0.1)]
+_EXPONENTS = st.one_of(st.integers(-64, 64).map(float), st.just(-0.0),
+                       st.sampled_from([0.5, -0.5, 1.5, -2.5, 7.3, -0.25]))
+
+
+def _closed_hex(kind, n, phis):
+    alone = [evaluate_closed(kind, n, phi) for phi in phis]
+    return [(closed.value.hex(), closed.domain_ok) for closed in alone]
+
+
+def _grid_hex(kind, n, phis):
+    grid = evaluate_closed(kind, n, phis)
+    assert grid.value.shape == grid.domain_ok.shape == (len(phis),)
+    return [(v.hex(), ok) for v, ok in zip(grid.value.tolist(), grid.domain_ok.tolist())]
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(list(SeriesKind)), n=_EXPONENTS,
+       phis=st.lists(st.one_of(st.sampled_from(_EDGE_ANGLES), st.floats(-10.0, 10.0),
+                               st.sampled_from(_SHIPPED_GRIDS[0] + _SHIPPED_GRIDS[1])), max_size=12))
+def test_a_sequence_of_angles_gives_each_angle_the_bits_of_its_own_call(kind, n, phis):
+    assert _grid_hex(kind, n, phis) == _closed_hex(kind, n, phis)
+
+
+@pytest.mark.parametrize("n", [-64.0, -21.0, -6.0, -1.0, -0.0, 0.0, 1.0, 10.0, 20.0, 64.0, 0.5, -1.5])
+def test_the_shipped_grids_give_each_angle_the_bits_of_its_own_call(n):
+    # another numpy build or CPU could take another SIMD path for the products
+    for kind in SeriesKind:
+        for phis in _SHIPPED_GRIDS:
+            assert _grid_hex(kind, n, phis) == _closed_hex(kind, n, phis)
+
+
+def test_a_grid_leaves_its_angles_and_takes_any_sequence():
+    phis = np.array([1.0, math.pi, -2.0])
+    for seq in (phis, phis.tolist(), tuple(phis.tolist())):
+        grid = evaluate_closed("cos", -3.0, seq)
+        assert grid.domain_ok.tolist() == [True, False, True] and math.isnan(grid.value[1])
+    assert phis.tolist() == [1.0, math.pi, -2.0]
+    empty = evaluate_closed("sin", 4.0, [])
+    assert empty.value.shape == empty.domain_ok.shape == (0,)
+    for one in (np.array(1.0), np.float32(1.0), np.int64(1)):  # one angle, not a sequence
+        assert evaluate_closed("cos", -3.0, one) == evaluate_closed("cos", -3.0, float(one))
+
+
+def test_an_underflowed_negative_power_overflows_to_an_infinity():
+    # at n = -64 next to the half turn, (2 cos(phi/2))**64 underflows to 0
+    near = math.nextafter(math.pi, 0.0)
+    closed = evaluate_closed("cos", -64.0, near)
+    assert closed.domain_ok and closed.value == math.inf
+    assert evaluate_closed("cos", -63.0, math.nextafter(3.0 * math.pi, 0.0)).value in (math.inf, -math.inf)

@@ -387,6 +387,25 @@ def test_non_finite_float64_terms_raise_domain_error(route):
         assert f"k = {k} is not finite" in str(err.value)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the DomainError speaks alone
+@pytest.mark.parametrize("kind, n, phi", [("cos", 1024.0, 0.0), ("cos", 1029.0, 1.0), ("sin", 1100.0, 0.0)])
+@pytest.mark.parametrize("route", [partial_sum, cesaro_sum, abel_sum])
+def test_terminating_rows_beyond_the_doubles_raise_domain_error(route, kind, n, phi):
+    # n = 1024 sums to 2**1024 at phi = 0; sum_k |t_k| of n = 1029 at phi = 1
+    # overflows; from n = 1030 on coefficients are inf, and inf * sin(0) is nan
+    spec = SeriesSpec(kind, n, phi)
+    with pytest.raises(DomainError, match="terminating row"):
+        route(spec) if route is abel_sum else route(spec, TERMS)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_whole_row_sums_refuse_a_grid_with_an_angle_beyond_the_doubles():
+    with pytest.raises(DomainError, match="terminating row"):
+        series.whole_row_sums(SeriesKind.COSINE, 1024, series.rotations((1.0, 0.0), 1025))
+    sums = series.whole_row_sums(SeriesKind.COSINE, 1024, series.rotations((1.0,), 1025))
+    assert sums == [partial_sum(SeriesSpec("cos", 1024.0, 1.0), TERMS).value]
+
+
 def test_partial_sum_beyond_the_doubles_raises_domain_error():
     # every coefficient of n = 1024.5 is finite, but their sum is about 2**1024.5
     with pytest.raises(DomainError, match="overflows"):

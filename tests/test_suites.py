@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import trigsum
 from trigsum import (
@@ -28,7 +29,7 @@ from trigsum import (
     series_at_phase,
     write_report,
 )
-from trigsum.suites import SUITE_NAMES, run_cases
+from trigsum.suites import SUITE_NAMES, CaseResult, VerificationReport, _num, run_cases
 
 
 def test_suite_case_validation():
@@ -203,6 +204,10 @@ _REPORT_SHA256 = {
     ("finite_integer", 0.1): "1354287f4f5df9b8c8d952789eb3d268ab27ae5a6cdea68262c8c5ea17d517c8",
     ("quarter_turn", 0.1): "330710bbf1ba3e383e9d570b271bd5c6bfd04e2f4014a887f49e786aec109eaf",
     ("phase_equivalence", 0.1): "ea4b40cdc6da495a3748dac25511d58e5d3fd616209d4ea6ef96d4423ff3a288",
+    # not re-run case by case below; negative_integer's pins the n < 0 closed forms
+    ("negative_integer", None): "9af18fe1b06f4a17d9bb99400225bbfc9238454c19ac61d44f8c7cf8499dd6e1",
+    ("lambda", None): "4c2b728186f3b2dcdd0b94e3477c57ceef825d40c15a797270539261b506e64b",
+    ("half_integer", None): "1637f0faeed37a525f32779b8000920c81e1ec55ee36aa131f6a82cea7a3109e",
 }
 
 
@@ -251,6 +256,49 @@ def test_grouped_rows_give_every_case_the_bits_it_gets_alone(name, step):
     _phase_series_alone.cache_clear()
     body = "\n".join(report_lines(report)) + "\n"
     assert hashlib.sha256(body.encode()).hexdigest() == _REPORT_SHA256[(name, step)]
+
+
+@pytest.mark.parametrize("name", ["negative_integer", "lambda", "half_integer"])
+def test_abel_and_catalog_report_bodies_are_pinned(name):
+    body = "\n".join(report_lines(run_suite(name))) + "\n"
+    assert hashlib.sha256(body.encode()).hexdigest() == _REPORT_SHA256[(name, None)]
+
+
+def _line_by_join(i, r):
+    """A report line as it was built field by field, each float by _num."""
+    case = r.case
+    return ",".join([str(i), case.spec.kind.value, _num(case.spec.n), _num(case.spec.phi),
+                     case.method.value, _num(r.computed), _num(r.expected), _num(r.abs_error),
+                     "true" if r.passed else "false"])
+
+
+_REPORT_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                                  2.0 ** -1030, 1e300, -1e300, 1e-300, -1e-300]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=_REPORT_FLOATS.filter(math.isfinite), phi=_REPORT_FLOATS.filter(math.isfinite),
+       values=st.lists(_REPORT_FLOATS, min_size=3, max_size=3), passed=st.booleans(),
+       kind=st.sampled_from(list(SeriesKind)), count=st.integers(1, 3))
+def test_report_line_template_gives_the_bytes_of_num(n, phi, values, passed, kind, count):
+    case = SuiteCase(SeriesSpec(kind, n, phi), SummationMethod.PHASE, ExpectedSource.CLOSED_FORM, 1e-9)
+    result = CaseResult(case, *values, passed)
+    lines = report_lines(VerificationReport("x", [result] * count, 0.0))
+    assert lines[1:-1] == [_line_by_join(i, result) for i in range(count)]
+
+
+def test_a_refused_terminating_row_gives_nan_cases():
+    # n = 1024 sums to 2**1024 at phi = 0, beyond the doubles: the Abel grid
+    # refuses the row, whose angles are then summed one at a time
+    cases = [SuiteCase(SeriesSpec("cos", 1024.0, phi), method, ExpectedSource.CLOSED_FORM, 1e-9)
+             for method in (SummationMethod.PARTIAL, SummationMethod.CESARO, SummationMethod.ABEL)
+             for phi in (0.0, 1.0)]
+    for r in run_cases(cases):
+        if r.case.spec.phi == 0.0:
+            assert math.isnan(r.computed) and r.expected == math.inf and not r.passed
+        else:
+            assert r.computed == evaluate(r.case.spec, r.case.method).value
 
 
 def test_exponents_minus_zero_and_zero_form_two_rows():
