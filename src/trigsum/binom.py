@@ -65,36 +65,30 @@ def gen_binom(n: float, k: int) -> float:
 
 
 def binom_prefix(n: float, count: int) -> list[float]:
-    """First ``count`` coefficients ``[gen_binom(n, 0), ..., gen_binom(n, count-1)]``.
-
-    For integer ``n`` within the exact limit the recurrence runs over Python
-    integers (the division is always exact), so every element is exact;
-    other exponents, and n = -1, take the float scan of ``binom_scan``.
-    """
-    nf = float(n)
-    if not _exact_branch(nf):
-        return binom_scan(nf, count).tolist()
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    out: list[float] = []
-    ni, c = int(nf), 1
-    for k in range(count):
-        out.append(_to_float(c))
-        c = c * (ni - k) // (k + 1)
-    return out
+    """First ``count`` coefficients ``[gen_binom(n, 0), ..., gen_binom(n, count-1)]``:
+    the list form of ``binom_scan``."""
+    return binom_scan(n, count).tolist()
 
 
 def binom_scan(n: float, count: int) -> np.ndarray:
     """``binom_prefix(n, count)`` as a float64 array.
 
-    Outside the exact branch it is one cumulative product (np.cumprod) of
+    For integer ``n`` within the exact limit the recurrence runs over Python
+    integers (the division is always exact), so every element is exact.
+    Other exponents, and n = -1, take one cumulative product (np.cumprod) of
     the factors (n - k) / (k + 1), which multiplies in index order and so
     gives the doubles of the recurrence.
     """
     nf = float(n)
+    if count < 0:
+        raise ValueError("count must be >= 0")
     if _exact_branch(nf):
-        return np.array(binom_prefix(nf, count), dtype=float)
-    factors = np.ones(count)  # raises ValueError for count < 0
+        out, ni, c = [], int(nf), 1
+        for k in range(count):
+            out.append(_to_float(c))
+            c = c * (ni - k) // (k + 1)
+        return np.array(out, dtype=float)
+    factors = np.ones(count)
     k = np.arange(count - 1, dtype=float)
     factors[1:] = (nf - k) / (k + 1.0)
     return np.multiply.accumulate(factors)

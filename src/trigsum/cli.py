@@ -22,7 +22,7 @@ import sys
 from .closed_forms import evaluate_closed
 from .exceptions import DivergentSeriesError, DomainError
 from .series import SUMMATION_METHODS, SeriesSpec, SummationMethod, evaluate
-from .suites import SUITE_NAMES, _num, run_suite, write_report
+from .suites import MAX_GRID_ANGLES, SUITE_NAMES, _num, run_suite, write_report
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -38,13 +38,9 @@ _ANGLE_RE = re.compile(
     r"\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)(deg|rad)?\s*")
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def parse_angle(text: str) -> float:
@@ -65,7 +61,7 @@ def _angle(text: str) -> float:
 
 def _cmd_sum(args) -> int:
     if args.tol is not None and not args.tol >= 0.0:  # NaN too
-        raise _UsageError(f"tol must be >= 0, got {args.tol}")
+        raise ValueError(f"tol must be >= 0, got {args.tol}")
     spec = SeriesSpec(args.kind, args.n, args.phi)
     try:
         res = evaluate(spec, args.method or SummationMethod.PARTIAL, terms=args.terms)
@@ -114,16 +110,20 @@ def _table_cell(method: str, spec: SeriesSpec, terms: int | None) -> float:
 def _cmd_table(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
-        raise _UsageError("empty method list")
+        raise ValueError("empty method list")
     for m in methods:
         if m not in _METHOD_NAMES:
-            raise _UsageError(f"unknown method {m!r}; choose from {_METHOD_NAMES}")
+            raise ValueError(f"unknown method {m!r}; choose from {_METHOD_NAMES}")
     if args.step <= 0:
-        raise _UsageError("step must be positive")
+        raise ValueError("step must be positive")
     if args.from_angle >= args.to_angle:
-        raise _UsageError("empty angle range: need from < to")
+        raise ValueError("empty angle range: need from < to")
 
-    count = int(math.floor((args.to_angle - args.from_angle) / args.step + 1e-9)) + 1
+    steps = (args.to_angle - args.from_angle) / args.step + 1e-9
+    if not steps < MAX_GRID_ANGLES + 1:  # inf too
+        raise ValueError(f"the range gives {steps + 1:.6g} rows; a table has at most {MAX_GRID_ANGLES + 1}"
+                         f" (a full turn in steps of {360.0 / MAX_GRID_ANGLES} degrees, both ends included)")
+    count = int(steps) + 1
     # printed only once every row is computed: a rejected input prints no rows
     lines = ["phi_deg,phi_rad," + ",".join(methods) + ",closed"]
     for i in range(count):
@@ -173,19 +173,11 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"trigsum: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = _build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"trigsum: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DomainError as exc:
         print(f"trigsum: domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

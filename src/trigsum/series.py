@@ -22,6 +22,7 @@ independent of the product closed forms they are checked against.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ import mpmath as mp
 import numpy as np
 
 from . import dd
-from .binom import binom_scan, is_integer_exponent
+from .binom import EXACT_INTEGER_LIMIT, binom_scan, is_integer_exponent
 from .exceptions import DivergentSeriesError, DomainError
 from .phase import binomial_phase_power
 
@@ -291,7 +292,6 @@ def _fsums(rows) -> list[float]:
     return sums
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the DomainError on what overflows speaks alone
 def _whole_row(spec: SeriesSpec, method: SummationMethod, conv: ConvergenceClass) -> SummationResult:
     """A terminating row summed through k = n, exactly rounded by math.fsum.
 
@@ -299,7 +299,11 @@ def _whole_row(spec: SeriesSpec, method: SummationMethod, conv: ConvergenceClass
     2**-53 on term k, so the residual is count * 2**-53 * sum_k |t_k|.
     """
     count = int(spec.n) + 1
-    ts = (binom_scan(spec.n, count) * trig_values(spec.phi, count, spec.kind)).tolist()
+    # exact coefficients (n <= 64) cannot overflow; on float ones the
+    # DomainError on what overflows speaks alone
+    floats = spec.n > EXACT_INTEGER_LIMIT
+    with np.errstate(over="ignore", invalid="ignore") if floats else contextlib.nullcontext():
+        ts = (binom_scan(spec.n, count) * trig_values(spec.phi, count, spec.kind)).tolist()
     total, size = _fsums((ts, map(abs, ts)))
     return SummationResult(total, method, count, count * 2.0 ** -53 * size, conv)
 
@@ -404,15 +408,12 @@ def _log_coeffs(n: float, r: float) -> np.ndarray:
     A running sum of log|n - j| - log(j + 1), taken by np.cumsum over
     chunks of _BLOCK_ELEMS indices; cumsum adds in index order, so it is
     the same running sum a loop over k forms, whatever the chunks.  The
-    scan also stops at MAX_TERMS, or at k = n for a nonnegative integer n
-    (gen_binom(n, n + 1) == 0).
+    scan also stops at MAX_TERMS.  No terminating row gets here: ``_settle``
+    sums those whole.
     """
-    last = MAX_TERMS
-    if is_integer_exponent(n) and n >= 0:
-        last = min(int(n), last)
     chunks, lc, start = [], 0.0, 1
-    while start <= last:
-        k = np.arange(start, min(start + _BLOCK_ELEMS, last + 1), dtype=float)
+    while start <= MAX_TERMS:
+        k = np.arange(start, min(start + _BLOCK_ELEMS, MAX_TERMS + 1), dtype=float)
         steps = np.log(np.abs(n - (k - 1.0))) - np.log(k)
         steps[0] += lc
         logc = np.cumsum(steps)
@@ -422,7 +423,7 @@ def _log_coeffs(n: float, r: float) -> np.ndarray:
             break
         lc = float(logc[-1])
         start += k.size
-    return np.concatenate(chunks) if chunks else np.zeros(0)
+    return np.concatenate(chunks)
 
 
 def _abel_term_count(r: float, logc: np.ndarray) -> int:
@@ -434,8 +435,6 @@ def _abel_term_count(r: float, logc: np.ndarray) -> int:
     hit = _past_cutoff(logc, r)
     if hit:
         return hit + 1
-    if logc.size < MAX_TERMS:
-        return logc.size + 1  # terminating series
     raise ValueError(f"radius {r!r} too close to 1 for a feasible term budget")
 
 

@@ -48,17 +48,6 @@ NEGATIVE_SUITE_RADII = tuple(
     1.0 - 0.025 * (0.004 / 0.025) ** (i / 7.0) for i in range(8)
 )
 
-SUITE_NAMES = (
-    "finite_integer",
-    "negative_integer",
-    "half_integer",
-    "quarter_turn",
-    "lambda",
-    "phase_equivalence",
-    "all",
-)
-
-
 class ExpectedSource(str, enum.Enum):
     CLOSED_FORM = "closed_form"
     CATALOG = "catalog"
@@ -156,25 +145,16 @@ def _build_finite_integer(step: float | None) -> list[SuiteCase]:
     return _sweep(map(float, range(0, 11)), SeriesKind, grid, lambda n: (partial,))
 
 
-_QUARTER_TURN_LITERALS = {2: 0.0, 3: -2.0, 4: -4.0, 5: -4.0, 6: 0.0, 7: 8.0, 8: 16.0}
+_QUARTER_TURN_LITERALS = {2.0: 0.0, 3.0: -2.0, 4.0: -4.0, 5.0: -4.0, 6.0: 0.0, 7.0: 8.0, 8.0: 16.0}
 
 
 def _build_quarter_turn(step: float | None) -> list[SuiteCase]:
-    cases = []
-    for n, lit in _QUARTER_TURN_LITERALS.items():
-        spec = SeriesSpec(SeriesKind.COSINE, float(n), 0.5 * math.pi)
-        cases.append(SuiteCase(
-            spec=spec, method=SummationMethod.PARTIAL,
-            expected_source=ExpectedSource.LITERAL, tolerance=1e-12,
-            expected_literal=lit,
-            note="alternating even-index row sum",
-        ))
-        cases.append(SuiteCase(
-            spec=spec, method=SummationMethod.CLOSED,
-            expected_source=ExpectedSource.LITERAL, tolerance=1e-15,
-            expected_literal=lit, note="quarter-turn closed value",
-        ))
-    return cases
+    literal = dict(expected_source=ExpectedSource.LITERAL)
+    return _sweep(_QUARTER_TURN_LITERALS, (SeriesKind.COSINE,), (90.0,), lambda n: (
+        dict(literal, method=SummationMethod.PARTIAL, tolerance=1e-12,
+             expected_literal=_QUARTER_TURN_LITERALS[n], note="alternating even-index row sum"),
+        dict(literal, method=SummationMethod.CLOSED, tolerance=1e-15,
+             expected_literal=_QUARTER_TURN_LITERALS[n], note="quarter-turn closed value")))
 
 
 def _build_negative_integer(step: float | None) -> list[SuiteCase]:
@@ -211,25 +191,14 @@ def _build_half_integer(step: float | None) -> list[SuiteCase]:
     return cases
 
 
-_LAMBDA_LITERALS = (0.5, 0.0, -0.25, -0.25, -0.125, 0.0)
+_LAMBDA_LITERALS = {-1.0: 0.5, -2.0: 0.0, -3.0: -0.25, -4.0: -0.25, -5.0: -0.125, -6.0: 0.0}
 
 
 def _build_lambda(step: float | None) -> list[SuiteCase]:
-    cases = []
-    for lam in range(1, 7):
-        spec = SeriesSpec(SeriesKind.COSINE, float(-lam), 0.5 * math.pi)
-        lit = _LAMBDA_LITERALS[lam - 1]
-        cases.append(SuiteCase(
-            spec=spec, method=SummationMethod.ABEL,
-            expected_source=ExpectedSource.LITERAL, tolerance=1e-6,
-            expected_literal=lit, note="quarter-turn family value",
-        ))
-        cases.append(SuiteCase(
-            spec=spec, method=SummationMethod.CLOSED,
-            expected_source=ExpectedSource.LITERAL, tolerance=1e-14,
-            expected_literal=lit, note="quarter-turn family value",
-        ))
-    return cases
+    literal = dict(expected_source=ExpectedSource.LITERAL, note="quarter-turn family value")
+    return _sweep(_LAMBDA_LITERALS, (SeriesKind.COSINE,), (90.0,), lambda n: (
+        dict(literal, method=SummationMethod.ABEL, tolerance=1e-6, expected_literal=_LAMBDA_LITERALS[n]),
+        dict(literal, method=SummationMethod.CLOSED, tolerance=1e-14, expected_literal=_LAMBDA_LITERALS[n])))
 
 
 def _phase_variants(n: float) -> tuple[dict, ...]:
@@ -252,6 +221,8 @@ _BUILDERS = {
     "phase_equivalence": _build_phase_equivalence,
 }
 
+SUITE_NAMES = (*_BUILDERS, "all")
+
 
 #: Most angles a grid step may give per full turn: one per tenth of a degree.
 #: A finer step would hold millions of cases in memory.
@@ -266,8 +237,8 @@ def build_suite(name: str, grid_step_deg: float | None = None) -> list[SuiteCase
                          f" angles per turn; the finest step is {360.0 / MAX_GRID_ANGLES} degrees")
     if name == "all":
         cases = []
-        for sub in SUITE_NAMES[:-1]:
-            cases.extend(_BUILDERS[sub](grid_step_deg))
+        for build in _BUILDERS.values():
+            cases.extend(build(grid_step_deg))
         return cases
     try:
         return _BUILDERS[name](grid_step_deg)

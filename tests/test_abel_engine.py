@@ -300,8 +300,6 @@ def _term_count_by_loop(n, r):
     while True:
         a = n - k
         k += 1
-        if a == 0.0:
-            return k
         lc += math.log(abs(a)) - math.log(k)
         if k >= kmin and lc + k * logr < _ABEL_CUT_LOG:
             return k + 1
@@ -318,15 +316,32 @@ def test_abel_term_budget_is_the_first_index_past_the_cutoff(n, r):
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.one_of(st.floats(-12.0, 12.0), st.integers(-12, 70).map(float)),
+@given(n=st.one_of(st.floats(-12.0, 12.0).filter(lambda x: not (x.is_integer() and x >= 0)),
+                   st.integers(-12, -1).map(float)),
        r=st.floats(0.3, 0.996))
 def test_abel_term_budget_matches_the_loop(n, r):
+    # abel_sum budgets no terminating row (n a nonnegative integer), see below
     assert _budget(n, r) == _term_count_by_loop(n, r)
 
 
-def test_abel_term_budget_of_a_terminating_row():
-    assert _budget(3.0, 0.99) == 4
-    assert _budget(0.0, 0.5) == 1
+def _no_budget(*args):
+    raise AssertionError("a terminating row reached the float64 term budget")
+
+
+@pytest.mark.parametrize("kind", list(SeriesKind))
+@pytest.mark.parametrize("n", [0.0, 3.0, 64.0])
+@pytest.mark.parametrize("phi", [0.0, 1.0, math.pi, -math.pi, 3.0 * math.pi])
+def test_abel_sum_of_a_terminating_row_is_its_row_sum_without_a_budget(kind, n, phi):
+    # _settle sums a terminating row whole before abel_sum budgets any
+    # terms, so the budget functions need no branch for one
+    spec = SeriesSpec(kind, n, phi)
+    with mock.patch.object(series, "_log_coeffs", _no_budget), \
+         mock.patch.object(series, "_abel_term_count", _no_budget):
+        res = abel_sum(spec)
+    row = series.partial_sum(spec, int(n) + 1)
+    assert (res.value, res.terms_used, res.residual_estimate, res.convergence) == \
+        (row.value, row.terms_used, row.residual_estimate, ConvergenceClass.FINITE)
+    assert res.method is series.SummationMethod.ABEL
 
 
 # ---------------------------------------------------------------- pinned values

@@ -348,6 +348,27 @@ def test_verify_refuses_a_grid_finer_than_the_angle_cap(step):
     assert "more than 3600 angles per turn" in err
 
 
+def test_table_refuses_more_rows_than_a_full_turn_at_a_tenth_of_a_degree():
+    # 10**12 + 1 rows: the cap refuses them before any row is computed, in
+    # a child under a time and an address-space cap
+    code, out, err = _main_in_a_fresh_process(
+        ["table", "--kind", "cos", "--n", "3", "--from", "0", "--to", "1", "--step", "1e-12",
+         "--methods", "phase"], preexec_fn=_cap_child_memory)
+    assert (code, out) == (64, "")
+    assert err == ("trigsum: usage error: the range gives 1e+12 rows; a table has at most 3601"
+                   " (a full turn in steps of 0.1 degrees, both ends included)\n")
+
+
+def test_table_takes_a_full_turn_at_a_tenth_of_a_degree(capsys):
+    table = ["table", "--kind", "cos", "--n", "3", "--methods", "phase", "--step", "0.1deg"]
+    code, out, _ = run(capsys, *table, "--from", "0deg", "--to", "360deg")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 3601  # the header, then both ends of the turn
+    code, out, err = run(capsys, *table, "--from", "0deg", "--to", "360.1deg")
+    assert (code, out) == (64, "")
+    assert "gives 3602 rows" in err
+
+
 def test_a_tenth_of_a_degree_grid_stays_accepted():
     assert len(build_suite("finite_integer", 0.1)) == 11 * 2 * 3579
     assert len(build_suite("negative_integer", 0.1)) == 2 * 6 * 3398

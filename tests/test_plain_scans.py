@@ -398,6 +398,18 @@ def test_terminating_rows_beyond_the_doubles_raise_domain_error(route, kind, n, 
         route(spec) if route is abel_sum else route(spec, TERMS)
 
 
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(list(SeriesKind)), n=st.integers(0, 64).map(float),
+       phi=st.floats(allow_nan=False, allow_infinity=False))
+def test_terminating_rows_with_exact_coefficients_raise_no_floating_point_error(kind, n, phi):
+    # rows with n <= 64 sum outside np.errstate: their exact coefficients
+    # and the rotations cannot overflow, divide by zero or make nan
+    spec = SeriesSpec(kind, n, phi)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        values = [partial_sum(spec, TERMS), cesaro_sum(spec, TERMS), abel_sum(spec)]
+    assert len({res.value for res in values}) == 1
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_whole_row_sums_refuse_a_grid_with_an_angle_beyond_the_doubles():
     with pytest.raises(DomainError, match="terminating row"):
