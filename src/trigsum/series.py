@@ -456,7 +456,7 @@ def _abel_point_dd(kind: SeriesKind, n: float, phi: float, radii):
     Returns the samples as lists of (hi, lo) floats per radius, the largest
     accepted Levin gap and the largest Levin order used.
     """
-    hi, lo, gap, order = _levin_samples(kind, n, _dd_trig_table(np.array([phi]), _LEVIN_ROWS), radii)
+    hi, lo, gap, order = _levin_samples(kind, n, np.array([phi]), radii)
     return hi[:, 0].tolist(), lo[:, 0].tolist(), float(gap.max()), int(order.max())
 
 
@@ -677,6 +677,8 @@ def _dd_reduce_axis0(th: np.ndarray, tl: np.ndarray):
 #: Orders walked for each sample; the last one needs _LEVIN_ROWS terms.
 _LEVIN_ORDERS = tuple(range(16, 65, 8))
 _LEVIN_ROWS = _LEVIN_ORDERS[-1] + 1
+#: Orders 16 and 24 (25 rows) settle most samples.
+_LEVIN_STAGES = (_LEVIN_ORDERS[:2], _LEVIN_ORDERS[2:])
 #: Two consecutive orders agree when |L_K - L_K'| is at most this times
 #: max(|L_K|, max_j |s_j|).  Near the half-turn the error of L_K falls and
 #: then rises again within a few orders: at n = -2.5, 170 deg and r = 0.996
@@ -708,60 +710,70 @@ def _dd_scan_axis0(op, h: np.ndarray, l: np.ndarray):
     return h, l
 
 
-def _levin_samples(kind: SeriesKind, n: float, trig, radii):
+def _levin_samples(kind: SeriesKind, n: float, phis: np.ndarray, radii, trig=None):
     """Abel radial samples of the complex series by Levin's u transform.
 
-    ``trig`` is a _dd_trig_table of at least _LEVIN_ROWS rows.  Each
-    (radius, angle) sample walks the orders of _LEVIN_ORDERS and is taken
-    at the first order that agrees with the one before it to _LEVIN_AGREE.
+    ``trig``, a _dd_trig_table of ``phis`` with at least _LEVIN_ROWS rows,
+    serves callers that sample several exponents; left out, each stage
+    builds its own.  Each (radius, angle) sample walks the orders of
+    _LEVIN_ORDERS and is taken at the first order that agrees with the one
+    before it to _LEVIN_AGREE.  A stage of _LEVIN_STAGES tabulates the rows
+    its last order reads, at the angles with an open sample; row k of every
+    table depends only on rows 0..k, so staging changes no bit.
     Returns the real part (cosine) or imaginary part (sine) as (hi, lo),
     the accepted gap |L_K - L_K'| and the accepted order K, each shaped
     (radii, angles).  Raises DivergentSeriesError when some sample has no
     agreeing pair of orders, as near a branch point of (1 + w)**n.
     """
-    rows = _LEVIN_ROWS
-    ch, cl, sh, sl = (t[:rows, None, :] for t in trig)
-    # c_k r**k shaped (rows, radii, 1), times z**k: the complex terms a_k
-    crh, crl = dd.mul(*(c[:, None] for c in _dd_coeff_arrays(n, rows)),
-                      *_dd_power_arrays(radii, rows))
-    crh, crl = crh[..., None], crl[..., None]
-    re, im = dd.mul(crh, crl, ch, cl), dd.mul(crh, crl, sh, sl)
-    j1 = np.arange(1.0, rows + 1.0)[:, None, None]
-    inv = dd.crecip(*dd.mul(*re, j1, 0.0), *dd.mul(*im, j1, 0.0))
-    sums = (*_dd_scan_axis0(dd.add, *re), *_dd_scan_axis0(dd.add, *im))
-    scale = np.maximum.accumulate(np.hypot(sums[0], sums[2]), axis=0)
-    quot = dd.cmul(*sums, *inv)
-    # numerator and denominator parts stacked on axis 1, samples flattened
-    # on axis 2: (rows, 4, radii * angles)
-    shape = scale.shape[1:]
-    stack_h = np.stack([quot[0], quot[2], inv[0], inv[2]], axis=1).reshape(rows, 4, -1)
-    stack_l = np.stack([quot[1], quot[3], inv[1], inv[3]], axis=1).reshape(rows, 4, -1)
-    scale = scale.reshape(rows, -1)
-
-    out_h, out_l, gap = (np.empty(scale.shape[1]) for _ in range(3))
-    order = np.zeros(scale.shape[1], dtype=int)
+    shape = (len(radii), len(phis))
+    out_h, out_l, gap = (np.empty(shape[0] * shape[1]) for _ in range(3))
+    order = np.zeros(out_h.size, dtype=int)
     part = _part(kind)
-    todo = np.arange(scale.shape[1])  # samples not yet accepted
+    todo = np.arange(out_h.size)  # samples not yet accepted, radius-major
+    cols = slice(None)  # angles with such a sample
     prev = None
-    for K in _LEVIN_ORDERS:
-        wh, wl = (w[:, None, None] for w in _LEVIN_WEIGHTS[K])
-        rh, rl = _dd_reduce_axis0(*dd.mul(wh, wl, stack_h[:K + 1, :, todo], stack_l[:K + 1, :, todo]))
-        value = dd.cmul(rh[0], rl[0], rh[1], rl[1], *dd.crecip(rh[2], rl[2], rh[3], rl[3]))
-        if prev is not None:
-            diff = np.hypot(dd.add(*value[:2], -prev[0], -prev[1])[0],
-                            dd.add(*value[2:], -prev[2], -prev[3])[0])
-            ok = diff <= _LEVIN_AGREE * np.maximum(np.hypot(value[0], value[2]), scale[K, todo])
-            done = todo[ok]
-            out_h[done], out_l[done] = (v[ok] for v in value[part])
-            gap[done] = diff[ok]
-            order[done] = K
-            todo = todo[~ok]
-            if not todo.size:
-                return tuple(a.reshape(shape) for a in (out_h, out_l, gap, order))
-            value = tuple(v[~ok] for v in value)
-        prev = value
+    for stage in _LEVIN_STAGES:
+        rows = stage[-1] + 1
+        ch, cl, sh, sl = (t[:rows, None, cols] for t in (trig or _dd_trig_table(phis, rows)))
+        # c_k r**k shaped (rows, radii, 1), times z**k: the complex terms a_k
+        crh, crl = dd.mul(*(c[:, None] for c in _dd_coeff_arrays(n, rows)),
+                          *_dd_power_arrays(radii, rows))
+        crh, crl = crh[..., None], crl[..., None]
+        re, im = dd.mul(crh, crl, ch, cl), dd.mul(crh, crl, sh, sl)
+        j1 = np.arange(1.0, rows + 1.0)[:, None, None]
+        inv = dd.crecip(*dd.mul(*re, j1, 0.0), *dd.mul(*im, j1, 0.0))
+        sums = (*_dd_scan_axis0(dd.add, *re), *_dd_scan_axis0(dd.add, *im))
+        quot = dd.cmul(*sums, *inv)
+        # numerator and denominator parts stacked on axis 1, all samples
+        # flattened on axis 2 as ``todo`` counts them; angles left out stay 0
+        stack_h, stack_l = (np.zeros((rows, 4) + shape) for _ in range(2))
+        scale = np.zeros((rows,) + shape)
+        stack_h[..., cols] = np.stack([quot[0], quot[2], inv[0], inv[2]], axis=1)
+        stack_l[..., cols] = np.stack([quot[1], quot[3], inv[1], inv[3]], axis=1)
+        scale[..., cols] = np.maximum.accumulate(np.hypot(sums[0], sums[2]), axis=0)
+        stack_h, stack_l = stack_h.reshape(rows, 4, -1), stack_l.reshape(rows, 4, -1)
+        scale = scale.reshape(rows, -1)
+        for K in stage:
+            wh, wl = (w[:, None, None] for w in _LEVIN_WEIGHTS[K])
+            rh, rl = _dd_reduce_axis0(*dd.mul(wh, wl, stack_h[:K + 1, :, todo], stack_l[:K + 1, :, todo]))
+            value = dd.cmul(rh[0], rl[0], rh[1], rl[1], *dd.crecip(rh[2], rl[2], rh[3], rl[3]))
+            if prev is not None:
+                diff = np.hypot(dd.add(*value[:2], -prev[0], -prev[1])[0],
+                                dd.add(*value[2:], -prev[2], -prev[3])[0])
+                ok = diff <= _LEVIN_AGREE * np.maximum(np.hypot(value[0], value[2]), scale[K, todo])
+                done = todo[ok]
+                out_h[done], out_l[done] = (v[ok] for v in value[part])
+                gap[done] = diff[ok]
+                order[done] = K
+                todo = todo[~ok]
+                if not todo.size:
+                    return tuple(a.reshape(shape) for a in (out_h, out_l, gap, order))
+                value = tuple(v[~ok] for v in value)
+            prev = value
+        cols = np.flatnonzero((order.reshape(shape) == 0).any(axis=0))  # order 0: open
     raise DivergentSeriesError(
-        f"Levin orders up to {_LEVIN_ORDERS[-1]} do not agree for n={n}: no Abel value")
+        f"Levin orders up to {_LEVIN_ORDERS[-1]} do not agree for n={n} ({kind.value}, "
+        f"phi={float(phis[todo[0] % shape[1]])}, r={float(radii[todo[0] // shape[1]])}): no Abel value")
 
 
 def abel_sum_grid(kind: SeriesKind, ns, phis, radii=None) -> dict[float, tuple[np.ndarray, np.ndarray, int]]:
@@ -796,7 +808,7 @@ def abel_sum_grid(kind: SeriesKind, ns, phis, radii=None) -> dict[float, tuple[n
     for n, rows in settled.items():
         values, residuals, used = np.zeros(len(phis)), np.zeros(len(phis)), 0
         if None in rows:
-            sample_h, sample_l, gap, order = _levin_samples(kind, n, trig, radii)
+            sample_h, sample_l, gap, order = _levin_samples(kind, n, uniq, radii, trig)
             v, r = _radial_limit(radii, sample_h, sample_l, gap.max(axis=0))
             values[open_], residuals[open_] = v[inverse] * sign, r[inverse]
             used = int(order.max())

@@ -7,7 +7,12 @@ plain loops the constructions replace.
 """
 
 import math
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import mpmath as mp
@@ -15,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import trigsum
 from trigsum import (
     DEFAULT_ABEL_RADII,
     NEGATIVE_SUITE_RADII,
@@ -22,13 +28,16 @@ from trigsum import (
     DivergentSeriesError,
     SeriesKind,
     SeriesSpec,
+    SummationMethod,
     abel_sum,
+    build_suite,
     classify,
 )
 from trigsum import dd, series
 from trigsum.binom import binom_scan, gen_binom_exact
 from trigsum.series import (
     _ABEL_CUT_LOG,
+    _LEVIN_ORDERS,
     _LEVIN_ROWS,
     _abel_point_f64,
     _abel_term_count,
@@ -69,6 +78,16 @@ def test_dd_trig_table_against_mpmath():
     # every z**L read from mpmath: 1.56e-31 (a table stepped from one z per
     # angle reaches 2.5e-28, and then accepts the branch point below)
     assert worst <= 2e-31
+
+
+@pytest.mark.parametrize("angles", [1, 40, 50, 84, 3600])
+def test_a_shorter_trig_table_is_its_longer_tables_prefix(angles):
+    # these angle counts give blocks of 32 or 128, 32 or 64, 32 and 1 rows
+    # for 25 and 65 rows; the first Levin stage reads 25 rows of either
+    phis = np.linspace(1e-3, math.pi - 1e-3, angles)
+    short, full = _dd_trig_table(phis, 25), _dd_trig_table(phis, _LEVIN_ROWS)
+    for s, f in zip(short, full):
+        assert [x.hex() for x in s.ravel().tolist()] == [x.hex() for x in f[:25].ravel().tolist()]
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -206,7 +225,7 @@ def test_levin_samples_against_mpmath(n, radii):
     worst = 0.0
     with mp.workdps(40):
         for kind in SeriesKind:
-            hi, lo, gap, order = _levin_samples(kind, n, trig, radii)
+            hi, lo, gap, order = _levin_samples(kind, n, phis, radii, trig)
             assert hi.shape == gap.shape == order.shape == (len(radii), len(phis))
             assert order.max() <= _LEVIN_ROWS - 1
             for i, r in enumerate(radii):
@@ -222,8 +241,78 @@ def test_levin_refuses_the_branch_point():
     # (1 + r exp(i phi))**-3 next to phi = pi: no two orders agree
     phis = np.array([math.pi - 1e-6])
     with pytest.raises(DivergentSeriesError):
-        _levin_samples(SeriesKind.COSINE, -3.0, _dd_trig_table(phis, _LEVIN_ROWS),
-                       DEFAULT_ABEL_RADII)
+        _levin_samples(SeriesKind.COSINE, -3.0, phis, DEFAULT_ABEL_RADII)
+
+
+def test_abel_refusal_names_the_first_open_sample():
+    # only the largest default radius has no agreeing pair of orders there
+    phi = math.pi - 1e-6
+    message = rf"n=-3\.0 \(cos, phi={re.escape(repr(phi))}, r=0\.99\): no Abel value"
+    with pytest.raises(DivergentSeriesError, match=message):
+        abel_sum(SeriesSpec("cos", -3.0, phi))
+
+
+def _bits(samples):
+    """(hi, lo, gap, order) per sample, the floats as hex."""
+    hi, lo, gap, order = (a.ravel().tolist() for a in samples)
+    return [(h.hex(), l.hex(), g.hex(), k) for h, l, g, k in zip(hi, lo, gap, order)]
+
+
+def _staged_and_unstaged(*args):
+    """_levin_samples(*args) in its stages and in one stage of every order
+    on all rows: the same bits, or the same refusal.  The staged samples
+    (None on a refusal) are returned."""
+    results = []
+    for stages in (series._LEVIN_STAGES, (_LEVIN_ORDERS,)):
+        with mock.patch.object(series, "_LEVIN_STAGES", stages):
+            try:
+                results.append(_bits(_levin_samples(*args)))
+            except DivergentSeriesError as exc:
+                results.append(str(exc))
+    assert results[0] == results[1]
+    return None if isinstance(results[0], str) else results[0]
+
+
+def test_levin_stages_change_no_bit():
+    suite = build_suite("negative_integer")
+    phis = np.unique([abs(c.spec.phi) for c in suite if c.method is SummationMethod.ABEL])
+    trig = _dd_trig_table(phis, _LEVIN_ROWS)
+    samples = [_staged_and_unstaged(SeriesKind.COSINE, float(-m), phis, NEGATIVE_SUITE_RADII, trig)
+               for m in range(1, 7)]
+    # a 0.1 degree band toward the half-turn, one degree per grid
+    for first in range(160, 180):
+        band = np.radians(np.arange(10 * first, 10 * first + 10) / 10.0)
+        trig = _dd_trig_table(band, _LEVIN_ROWS)
+        for n in (-2.5, -3.0, -6.0):
+            for kind in SeriesKind:
+                samples.append(_staged_and_unstaged(kind, n, band, NEGATIVE_SUITE_RADII, trig))
+    # one angle builds its own table per stage
+    for degrees in (1.0, 90.0, 150.0, 170.0, 179.0):
+        for n in (-2.5, -3.0, -6.0):
+            samples.append(_staged_and_unstaged(SeriesKind.SINE, n, np.radians([degrees]),
+                                                DEFAULT_ABEL_RADII))
+    accepted = [k for bits in samples if bits is not None for *_, k in bits]
+    # staging is tested, not skipped: samples reach the second stage and
+    # some grids are refused
+    assert max(accepted) > series._LEVIN_STAGES[0][-1]
+    assert None in samples
+    with pytest.raises(DivergentSeriesError):
+        _levin_samples(SeriesKind.COSINE, -3.0, np.array([math.pi - 1e-6]), DEFAULT_ABEL_RADII)
+
+
+def test_the_abel_engine_leaves_numpy_ma_unimported():
+    # numpy imports numpy.ma lazily, e.g. from np.unique on integers; the
+    # engine selects its open angles without it
+    env = dict(os.environ, PYTHONPATH=str(Path(trigsum.__file__).parents[1]))
+    code = ("import sys, math, numpy as np\n"
+            "from trigsum import SeriesSpec, abel_sum\n"
+            "from trigsum.series import abel_sum_grid\n"
+            "abel_sum(SeriesSpec('cos', -3.0, math.radians(175.0)))\n"
+            "abel_sum_grid('sin', [-2.5, -3.0], np.radians([-170.0, 20.0, 170.0, 180.0]))\n"
+            "sys.exit('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
 
 
 # ---------------------------------------------------------------- Neville tableau
@@ -249,7 +338,7 @@ def test_dd_neville_matches_the_mpmath_tableau(radii):
     phis = np.radians(LEVIN_DEGREES)
     trig = _dd_trig_table(phis, _LEVIN_ROWS)
     for n in (-1.0, -2.5, -6.0):
-        hi, lo, _, _ = _levin_samples(SeriesKind.COSINE, n, trig, radii)
+        hi, lo, _, _ = _levin_samples(SeriesKind.COSINE, n, phis, radii, trig)
         values, corrections = _extrapolate_radial(radii, hi, lo)
         for j in range(len(phis)):
             value, correction = _neville_mpmath(radii, hi[:, j].tolist(), lo[:, j].tolist())
