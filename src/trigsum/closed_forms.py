@@ -161,14 +161,13 @@ class CatalogEntry:
     divergent: bool = False
 
 
-def _entry(n: float, phi: float, recipe: Callable[[], mp.mpf] | None, description: str,
-           divergent: bool = False) -> CatalogEntry:
+def _entry(n: float, phi: float, recipe: Callable[[], mp.mpf] | None, description: str) -> CatalogEntry:
     value = None
     if recipe is not None:
         with mp.workdps(50):
             value = float(recipe())
     return CatalogEntry(SeriesSpec(SeriesKind.COSINE, n, phi), recipe, description,
-                        value, divergent)
+                        value, divergent=recipe is None)
 
 
 @lru_cache(maxsize=1)
@@ -189,5 +188,5 @@ def special_value_catalog() -> tuple[CatalogEntry, ...]:
         _entry(-0.5, 0.0, lambda: mp.sqrt(mp.mpf(1) / 2), "1/sqrt(2)"),
         _entry(-0.5, 0.5 * math.pi, lambda: mp.sqrt(1 + mp.sqrt(2)) / 2,
                "(1/2)*sqrt(1+sqrt(2))"),
-        _entry(-0.5, math.pi, None, "divergent", divergent=True),
+        _entry(-0.5, math.pi, None, "divergent"),
     )

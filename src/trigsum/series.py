@@ -258,7 +258,8 @@ _CANNOT_SUM = {
 }
 
 
-def _settle(spec: SeriesSpec, method: SummationMethod) -> tuple[ConvergenceClass, SummationResult | None]:
+def _settle(spec: SeriesSpec, method: SummationMethod,
+            terms: float = math.inf) -> tuple[ConvergenceClass, SummationResult | None]:
     """The one rule for a row and a method: refuse it, settle it, or leave it to be summed.
 
     Raises DivergentSeriesError when ``method`` cannot sum the row (see
@@ -266,8 +267,8 @@ def _settle(spec: SeriesSpec, method: SummationMethod) -> tuple[ConvergenceClass
     row that needs no summing, else None.  A zero row (see ``_zero_row``)
     is 0, with residual 0 and no terms.  A terminating row has constant
     partial sums from k = n on, so its Cesaro mean and Abel value are its
-    whole sum (Hardy, Divergent Series: regularity; see ``_whole_row``);
-    partial sums still truncate it.
+    whole sum (Hardy, Divergent Series: regularity; see ``_whole_row``), as
+    are its partial sums once ``terms`` exceeds n; fewer terms truncate it.
     """
     conv = classify(spec)
     if _zero_row(spec, conv):
@@ -276,7 +277,7 @@ def _settle(spec: SeriesSpec, method: SummationMethod) -> tuple[ConvergenceClass
     if conv in classes or spec.n <= n_bound:
         raise DivergentSeriesError(f"no {method.value} value for the {conv.value} row"
                                    f" kind={spec.kind.value} n={spec.n} phi={spec.phi}")
-    if conv is ConvergenceClass.FINITE and method is not SummationMethod.PARTIAL:
+    if conv is ConvergenceClass.FINITE and (method is not SummationMethod.PARTIAL or terms > spec.n):
         return conv, _whole_row(spec, method, conv)
     return conv, None
 
@@ -331,12 +332,9 @@ def partial_sum(spec: SeriesSpec, terms: int) -> SummationResult:
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    conv, row = _settle(spec, SummationMethod.PARTIAL)
+    conv, row = _settle(spec, SummationMethod.PARTIAL, terms)
     if row is not None:
         return row
-    # all coefficients beyond k = n vanish exactly for a terminating row
-    if conv is ConvergenceClass.FINITE and terms > spec.n:
-        return _whole_row(spec, SummationMethod.PARTIAL, conv)
     total = _ExactSum()
     with np.errstate(over="ignore", invalid="ignore"):
         for _, ts in _term_blocks(spec, terms):
@@ -377,7 +375,7 @@ def cesaro_sum(spec: SeriesSpec, terms: int) -> SummationResult:
 # ----------------------------------------------------------------------
 
 def _validate_radii(radii) -> tuple[float, ...]:
-    radii = tuple(float(r) for r in radii)
+    radii = tuple(float(r) for r in (DEFAULT_ABEL_RADII if radii is None else radii))
     if len(radii) < 3:
         raise ValueError("need at least 3 radii")
     for r in radii:
@@ -480,16 +478,13 @@ def _extrapolate_radial(radii, f_hi, f_lo):
     """
     xs = [dd.two_sum(1.0, -r) for r in radii]
     t = list(zip(f_hi, f_lo))
-    top = t[0]
-    corr = 0.0
     for lev in range(1, len(t)):
+        top = t[0]  # the value the last level corrects
         for i in range(len(t) - lev):
             ah, al = dd.mul(*xs[i + lev], *t[i])
             bh, bl = dd.mul(*xs[i], *t[i + 1])
             t[i] = dd.div(*dd.add(ah, al, -bh, -bl), *dd.two_sum(radii[i], -radii[i + lev]))
-        corr = dd.add(*t[0], -top[0], -top[1])[0]
-        top = t[0]
-    return t[0][0], abs(corr)
+    return t[0][0], abs(dd.add(*t[0], -top[0], -top[1])[0])
 
 
 def _radial_limit(radii, hi, lo, gap):
@@ -520,7 +515,7 @@ def abel_sum(spec: SeriesSpec, radii=None) -> SummationResult:
     radial limit), when the Levin orders do not settle, or when a sample
     exceeds DIVERGENCE_THRESHOLD.
     """
-    radii = _validate_radii(DEFAULT_ABEL_RADII if radii is None else radii)
+    radii = _validate_radii(radii)
     conv, row = _settle(spec, SummationMethod.ABEL)
     if row is not None:
         return row
@@ -788,7 +783,7 @@ def abel_sum_grid(kind: SeriesKind, ns, phis, radii=None) -> dict[float, tuple[n
     and one it refuses (a divergent point) refuses the whole grid.
     """
     kind = SeriesKind(kind)
-    radii = _validate_radii(DEFAULT_ABEL_RADII if radii is None else radii)
+    radii = _validate_radii(radii)
     phis = np.asarray(phis, dtype=float)
     settled = {n: [_settle(SeriesSpec(kind, n, phi), SummationMethod.ABEL)[1] for phi in phis.tolist()]
                for n in dict.fromkeys(ns)}

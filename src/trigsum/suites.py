@@ -171,23 +171,12 @@ def _build_negative_integer(step: float | None) -> list[SuiteCase]:
 def _build_half_integer(step: float | None) -> list[SuiteCase]:
     cases = []
     for entry in special_value_catalog():
-        if entry.divergent:
-            cases.append(SuiteCase(
-                spec=entry.spec, method=SummationMethod.ABEL,
-                expected_source=ExpectedSource.CATALOG, tolerance=1e-6,
-                expect_divergent=True,
-            ))
-        elif entry.spec.n > 0 and entry.spec.phi == math.pi:
-            # boundary of conditional convergence: plain truncation only
-            cases.append(SuiteCase(
-                spec=entry.spec, method=SummationMethod.PARTIAL,
-                expected_source=ExpectedSource.CATALOG, tolerance=1e-3,
-            ))
-        else:
-            cases.append(SuiteCase(
-                spec=entry.spec, method=SummationMethod.ABEL,
-                expected_source=ExpectedSource.CATALOG, tolerance=1e-6,
-            ))
+        # the boundary of conditional convergence takes plain truncation only
+        partial = entry.spec.n > 0 and entry.spec.phi == math.pi
+        cases.append(SuiteCase(
+            spec=entry.spec, method=SummationMethod.PARTIAL if partial else SummationMethod.ABEL,
+            expected_source=ExpectedSource.CATALOG, tolerance=1e-3 if partial else 1e-6,
+            expect_divergent=entry.divergent))
     return cases
 
 
@@ -328,11 +317,14 @@ def _expected_row(key: tuple, phis: tuple, row: list[SuiteCase], tables: _Tables
 
 
 def _judge_refusal(case: SuiteCase) -> CaseResult:
-    """A case that expects divergence passes when evaluate refuses its row."""
+    """A case that expects divergence passes when evaluate refuses its row;
+    a value fails it, and so does a DomainError (computed nan)."""
     try:
         value = evaluate(case.spec, case.method, radii=case.radii).value
     except DivergentSeriesError:
         return CaseResult(case, math.nan, math.nan, math.nan, True)
+    except DomainError:
+        value = math.nan
     return CaseResult(case, value, math.nan, math.nan, False)
 
 

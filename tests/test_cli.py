@@ -109,6 +109,14 @@ def test_sum_tolerance_comparison(capsys):
     assert float(fields["expected"]) == pytest.approx(-0.25, abs=1e-12)
 
 
+def test_sum_tolerance_outside_the_closed_form_domain(capsys):
+    # a fractional exponent beyond the half turn: the sum has a value, the closed form none
+    code, out, _ = run(capsys, "sum", "--kind", "cos", "--n", "0.5", "--phi", "4", "--tol", "1e-6")
+    assert code == 0
+    assert out.splitlines()[-1] == "expected undefined (outside the closed-form domain)"
+    assert "abs_error" not in out and "within_tolerance" not in out
+
+
 def test_sum_abel_on_a_terminating_row_is_the_row_sum(capsys):
     # the samples near r = 1 reach 1e18 here; the row is finite all the same
     code, out, _ = run(capsys, "sum", "--kind", "cos", "--n", "64",
@@ -447,6 +455,17 @@ def test_table_empty_methods_usage_error(capsys):
                      "--from", "0deg", "--to", "90deg", "--step", "45deg",
                      "--methods", " , ")
     assert code == 64
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--methods", "nosuch"], "unknown method 'nosuch'"),
+    (["--methods", "partial", "--step", "0"], "step must be positive"),
+])
+def test_table_bad_method_or_step_is_a_usage_error(capsys, option, message):
+    argv = ["--kind", "cos", "--n", "2", "--from", "0deg", "--to", "90deg", "--step", "45deg", *option]
+    code, out, err = run(capsys, "table", *argv)
+    assert (code, out) == (64, "")
+    assert message in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -81,6 +81,12 @@ def test_evaluate_closed_flags_domain_exits():
     assert good.domain_ok
 
 
+@pytest.mark.parametrize("phi", [1.0, [1.0, 2.0]])
+def test_evaluate_closed_rejects_an_unknown_kind(phi):
+    with pytest.raises(ValueError):
+        evaluate_closed("tan", 2, phi)
+
+
 def test_reduced_forms_match_general_closed_form():
     for m in range(1, 8):
         for phi in SAFE_GRID:

@@ -9,8 +9,10 @@ from trigsum import (
     ConvergenceClass,
     DivergentSeriesError,
     DomainError,
+    ExpectedSource,
     SeriesKind,
     SeriesSpec,
+    SuiteCase,
     SummationMethod,
     abel_sum,
     binomial_phase_power,
@@ -20,6 +22,7 @@ from trigsum import (
     partial_sum,
 )
 from trigsum.series import trig_values
+from trigsum.suites import run_cases
 
 COS = SeriesKind.COSINE
 SIN = SeriesKind.SINE
@@ -238,6 +241,8 @@ def test_abel_radii_validation():
         abel_sum(spec, radii=(0.5, 0.6))
     with pytest.raises(ValueError):
         abel_sum(spec, radii=(-0.1, 0.5, 0.9))
+    with pytest.raises(ValueError, match="too close to 1 for a feasible term budget"):
+        abel_sum(SeriesSpec(COS, -1.5, 1.0), radii=(0.9, 0.99, 0.9999999))
 
 
 def test_abel_consistency_with_partial_sums():
@@ -338,6 +343,16 @@ def test_evaluate_matches_direct_function(method, spec, direct):
 def test_evaluate_phase_outside_its_domain(n):
     with pytest.raises(DomainError):
         evaluate(SeriesSpec(COS, n, 1.0), SummationMethod.PHASE)
+    # a suite case there fails alone, with computed nan
+    (result,) = run_cases([SuiteCase(SeriesSpec(COS, n, 1.0), SummationMethod.PHASE,
+                                     ExpectedSource.CLOSED_FORM, 1e-9)])
+    assert math.isnan(result.computed) and not result.passed
+
+
+@pytest.mark.parametrize("method", ["closed", "reduced"])
+def test_evaluate_refuses_a_method_that_is_not_a_summation_method(method):
+    with pytest.raises(ValueError, match="is not a summation method"):
+        evaluate(SeriesSpec(COS, -3, 1.0), method)
 
 
 # ------------------------------------------------------ refusal per method

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -167,6 +168,27 @@ def test_a_refused_grid_point_fails_alone():
     ok, refused = run_cases(cases)
     assert ok.passed
     assert not refused.passed and math.isnan(refused.computed)
+
+
+def test_a_case_that_expects_divergence_passes_only_on_a_refusal():
+    # n = 1030.5: the float64 terms overflow from k = 495 on, a domain error
+    # and not a divergence, which fails that case alone
+    ok = SuiteCase(SeriesSpec("cos", 0.5, 1.0), SummationMethod.PARTIAL, ExpectedSource.CLOSED_FORM, 1e-6)
+    refused, summed, overflow = (
+        SuiteCase(SeriesSpec("cos", n, phi), SummationMethod.PARTIAL, ExpectedSource.LITERAL, 1e-6,
+                  note="x", expected_literal=0.0, expect_divergent=True)
+        for n, phi in ((-0.5, math.pi), (0.5, 1.0), (1030.5, 1.0)))
+    results = run_cases([ok, refused, summed, overflow])
+    assert [r.passed for r in results] == [True, True, False, False]
+    assert all(math.isnan(r.expected) and math.isnan(r.abs_error) for r in results[1:])
+    assert math.isnan(results[1].computed) and math.isnan(results[3].computed)
+    assert results[2].computed == evaluate(summed.spec, SummationMethod.PARTIAL).value
+
+
+def test_a_catalog_case_without_an_entry_is_a_value_error():
+    spec = SeriesSpec("cos", 1.5, 1.0)
+    with pytest.raises(ValueError, match=f"no catalog entry for {re.escape(str(spec))}"):
+        run_cases([SuiteCase(spec, SummationMethod.PARTIAL, ExpectedSource.CATALOG, 1e-6)])
 
 
 def test_suite_case_rejects_a_nan_tolerance():
