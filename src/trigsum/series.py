@@ -713,8 +713,9 @@ def _levin_samples(kind: SeriesKind, n: float, phis: np.ndarray, radii, trig=Non
     builds its own.  Each (radius, angle) sample walks the orders of
     _LEVIN_ORDERS and is taken at the first order that agrees with the one
     before it to _LEVIN_AGREE.  A stage of _LEVIN_STAGES tabulates the rows
-    its last order reads, at the angles with an open sample; row k of every
-    table depends only on rows 0..k, so staging changes no bit.
+    its last order reads, at the angles with an open sample, and stacks its
+    open samples, which each order reads in place; row k of every table
+    depends only on rows 0..k, so staging changes no bit.
     Returns the real part (cosine) or imaginary part (sine) as (hi, lo),
     the accepted gap |L_K - L_K'| and the accepted order K, each shaped
     (radii, angles).  Raises DivergentSeriesError when some sample has no
@@ -739,23 +740,23 @@ def _levin_samples(kind: SeriesKind, n: float, phis: np.ndarray, radii, trig=Non
         inv = dd.crecip(*dd.mul(*re, j1, 0.0), *dd.mul(*im, j1, 0.0))
         sums = (*_dd_scan_axis0(dd.add, *re), *_dd_scan_axis0(dd.add, *im))
         quot = dd.cmul(*sums, *inv)
-        # numerator and denominator parts stacked on axis 1, all samples
-        # flattened on axis 2 as ``todo`` counts them; angles left out stay 0
-        stack_h, stack_l = (np.zeros((rows, 4) + shape) for _ in range(2))
-        scale = np.zeros((rows,) + shape)
-        stack_h[..., cols] = np.stack([quot[0], quot[2], inv[0], inv[2]], axis=1)
-        stack_l[..., cols] = np.stack([quot[1], quot[3], inv[1], inv[3]], axis=1)
-        scale[..., cols] = np.maximum.accumulate(np.hypot(sums[0], sums[2]), axis=0)
-        stack_h, stack_l = stack_h.reshape(rows, 4, -1), stack_l.reshape(rows, 4, -1)
-        scale = scale.reshape(rows, -1)
+        # numerator and denominator parts stacked on axis 1, the open
+        # samples on axis 2 in the order of ``todo``
+        stack_h = np.stack([quot[0], quot[2], inv[0], inv[2]], axis=1).reshape(rows, 4, -1)
+        stack_l = np.stack([quot[1], quot[3], inv[1], inv[3]], axis=1).reshape(rows, 4, -1)
+        scale = np.maximum.accumulate(np.hypot(sums[0], sums[2]), axis=0).reshape(rows, -1)
+        if todo.size < scale.shape[1]:  # radii x cols holds accepted samples too
+            r, a = np.divmod(todo, shape[1])
+            keep = r * cols.size + np.searchsorted(cols, a)
+            stack_h, stack_l, scale = (np.take(t, keep, axis=-1) for t in (stack_h, stack_l, scale))
         for K in stage:
             wh, wl = (w[:, None, None] for w in _LEVIN_WEIGHTS[K])
-            rh, rl = _dd_reduce_axis0(*dd.mul(wh, wl, stack_h[:K + 1, :, todo], stack_l[:K + 1, :, todo]))
+            rh, rl = _dd_reduce_axis0(*dd.mul(wh, wl, stack_h[:K + 1], stack_l[:K + 1]))
             value = dd.cmul(rh[0], rl[0], rh[1], rl[1], *dd.crecip(rh[2], rl[2], rh[3], rl[3]))
             if prev is not None:
                 diff = np.hypot(dd.add(*value[:2], -prev[0], -prev[1])[0],
                                 dd.add(*value[2:], -prev[2], -prev[3])[0])
-                ok = diff <= _LEVIN_AGREE * np.maximum(np.hypot(value[0], value[2]), scale[K, todo])
+                ok = diff <= _LEVIN_AGREE * np.maximum(np.hypot(value[0], value[2]), scale[K])
                 done = todo[ok]
                 out_h[done], out_l[done] = (v[ok] for v in value[part])
                 gap[done] = diff[ok]
@@ -764,6 +765,8 @@ def _levin_samples(kind: SeriesKind, n: float, phis: np.ndarray, radii, trig=Non
                 if not todo.size:
                     return tuple(a.reshape(shape) for a in (out_h, out_l, gap, order))
                 value = tuple(v[~ok] for v in value)
+                if done.size and K != stage[-1]:  # later orders read only the open samples
+                    stack_h, stack_l, scale = (np.compress(~ok, t, axis=-1) for t in (stack_h, stack_l, scale))
             prev = value
         cols = np.flatnonzero((order.reshape(shape) == 0).any(axis=0))  # order 0: open
     raise DivergentSeriesError(
@@ -775,12 +778,13 @@ def abel_sum_grid(kind: SeriesKind, ns, phis, radii=None) -> dict[float, tuple[n
     """Abel sums for several exponents over a shared angle grid.
 
     Levin samples in double-double (see ``_levin_samples``), with one trig
-    table shared across exponents and radii; this is the vectorized back
-    end the verification suites use.  Returns, per exponent, the array of
-    values aligned with ``phis``, the per-angle residual estimates, and
-    the largest Levin order or row length used.  ``_settle`` judges every
-    point: the points it settles take its value and stay out of the table,
-    and one it refuses (a divergent point) refuses the whole grid.
+    table and one Neville tableau shared across exponents and radii; this
+    is the vectorized back end the verification suites use.  Returns, per
+    exponent, the array of values aligned with ``phis``, the per-angle
+    residual estimates, and the largest Levin order or row length used.
+    ``_settle`` judges every point: the points it settles take its value and
+    stay out of the table, and one it refuses (a divergent point) refuses
+    the whole grid.
     """
     kind = SeriesKind(kind)
     radii = _validate_radii(radii)
@@ -799,14 +803,19 @@ def abel_sum_grid(kind: SeriesKind, ns, phis, radii=None) -> dict[float, tuple[n
         trig = _dd_trig_table(uniq, _LEVIN_ROWS)
         sign = np.sign(phis[open_]) if kind is SeriesKind.SINE else 1.0
 
+    # one elementwise tableau on every open exponent's samples side by side
+    sampled = {n: _levin_samples(kind, n, uniq, radii, trig) for n, rows in settled.items() if None in rows}
+    if sampled:
+        hi, lo, gap = (np.concatenate([s[i] for s in sampled.values()], axis=1) for i in range(3))
+        value, residual = (a.reshape(len(sampled), -1)[:, inverse]
+                           for a in _radial_limit(radii, hi, lo, gap.max(axis=0)))
+        sampled = dict(zip(sampled, zip(value * sign, residual, [int(s[3].max()) for s in sampled.values()])))
+
     out: dict[float, tuple[np.ndarray, np.ndarray, int]] = {}
     for n, rows in settled.items():
         values, residuals, used = np.zeros(len(phis)), np.zeros(len(phis)), 0
-        if None in rows:
-            sample_h, sample_l, gap, order = _levin_samples(kind, n, uniq, radii, trig)
-            v, r = _radial_limit(radii, sample_h, sample_l, gap.max(axis=0))
-            values[open_], residuals[open_] = v[inverse] * sign, r[inverse]
-            used = int(order.max())
+        if n in sampled:
+            values[open_], residuals[open_], used = sampled[n]
         for i, row in enumerate(rows):
             if row is not None:
                 values[i], residuals[i] = row.value, row.residual_estimate

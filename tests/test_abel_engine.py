@@ -300,6 +300,63 @@ def test_levin_stages_change_no_bit():
         _levin_samples(SeriesKind.COSINE, -3.0, np.array([math.pi - 1e-6]), DEFAULT_ABEL_RADII)
 
 
+def _bits_or_refusal(*args):
+    try:
+        return _bits(_levin_samples(*args))
+    except DivergentSeriesError:
+        return None
+
+
+def test_each_angle_of_a_grid_keeps_its_bits():
+    # a grid drops its accepted samples from the orders after them; every
+    # angle gets the samples of a one-angle grid on the same table column
+    mixed = False
+    for first in range(160, 180):
+        band = np.radians(np.arange(10 * first, 10 * first + 10) / 10.0)
+        trig = _dd_trig_table(band, _LEVIN_ROWS)
+        for n in (-2.5, -3.0, -6.0):
+            for kind in SeriesKind:
+                grid = _bits_or_refusal(kind, n, band, NEGATIVE_SUITE_RADII, trig)
+                alone = [_bits_or_refusal(kind, n, band[i:i + 1], NEGATIVE_SUITE_RADII,
+                                          tuple(t[:, i:i + 1] for t in trig))
+                         for i in range(band.size)]
+                assert (grid is None) == (None in alone)
+                if grid is not None:
+                    # grid bits are radius-major: angle i at i, i + 10, ...
+                    assert [grid[i::band.size] for i in range(band.size)] == alone
+                    orders = {max(k for *_, k in bits) for bits in alone}
+                    mixed |= min(orders) == 24 and max(orders) >= 32
+    # the second stage ran on a strict subset of a band's angles
+    assert mixed
+
+
+@pytest.mark.parametrize("kind, ns, degrees, radii", [
+    (SeriesKind.COSINE, [-1.0, -2.0, -3.0, -4.0, -5.0, -6.0], None, NEGATIVE_SUITE_RADII),
+    (SeriesKind.SINE, [-3.0, 2.0, -1.5], [-170.0, -135.0, -90.0, -20.0, 0.0, 20.0, 90.0, 150.0, 180.0],
+     DEFAULT_ABEL_RADII),
+], ids=["negative_integer", "signed_sine"])
+def test_one_tableau_gives_each_exponent_its_own_bits(kind, ns, degrees, radii):
+    if degrees is None:
+        suite = build_suite("negative_integer")
+        phis = sorted({c.spec.phi for c in suite if c.method is SummationMethod.ABEL})
+    else:
+        phis = np.radians(degrees).tolist()
+    grid = series.abel_sum_grid(kind, ns, phis, radii)
+    for n in ns:
+        (alone,) = series.abel_sum_grid(kind, [n], phis, radii).values()
+        for together, apart in zip(grid[n][:2], alone[:2]):
+            assert [float(x).hex() for x in together] == [float(x).hex() for x in apart]
+        assert grid[n][2] == alone[2]
+
+
+def test_a_grid_with_one_diverging_exponent_is_refused():
+    phis = np.radians([20.0, 60.0])
+    with pytest.raises(DivergentSeriesError):
+        series.abel_sum_grid(SeriesKind.COSINE, [50.5], phis)
+    with pytest.raises(DivergentSeriesError):
+        series.abel_sum_grid(SeriesKind.COSINE, [-3.0, 50.5], phis)
+
+
 def test_the_abel_engine_leaves_numpy_ma_unimported():
     # numpy imports numpy.ma lazily, e.g. from np.unique on integers; the
     # engine selects its open angles without it
