@@ -25,11 +25,6 @@ def is_integer_exponent(n: float) -> bool:
     return float(n).is_integer()
 
 
-def _exact_branch(nf: float) -> bool:
-    # n = -1 needs no big integers: every factor (n - k) / (k + 1) is exactly -1
-    return nf.is_integer() and abs(nf) <= EXACT_INTEGER_LIMIT and nf != -1.0
-
-
 def _to_float(value: int) -> float:
     try:
         return float(value)
@@ -82,7 +77,8 @@ def binom_scan(n: float, count: int) -> np.ndarray:
     nf = float(n)
     if count < 0:
         raise ValueError("count must be >= 0")
-    if _exact_branch(nf):
+    # n = -1 needs no big integers: every factor (n - k) / (k + 1) is exactly -1
+    if nf.is_integer() and abs(nf) <= EXACT_INTEGER_LIMIT and nf != -1.0:
         out, ni, c = [], int(nf), 1
         for k in range(count):
             out.append(_to_float(c))

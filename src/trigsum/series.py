@@ -590,40 +590,28 @@ def _dd_trig_table(phis: np.ndarray, count: int):
     """cos(k*phi) and sin(k*phi) for k < count, double-double, per angle.
 
     Returns (cos hi, cos lo, sin hi, sin lo), each shaped (count, angles).
-    z**k for z = exp(i*phi) is built by doubling, z**[L, 2L) = z**[0, L) * z**L,
-    over a block of B rows, B the largest power of two that keeps a block
-    within _BLOCK_ELEMS elements; each further block is the previous one
-    times z**B.  Every z**L is read from mpmath, so errors add up only
+    z**k for z = exp(i*phi) is built by one doubling rule: rows [s, s + L)
+    are the rows L back times z**L, where L = min(s, B) and B is the largest
+    power of two that keeps B rows of every angle within _BLOCK_ELEMS
+    elements.  Every z**L is read from mpmath once, so errors add up only
     along the log2(B) doublings and the count/B block steps.
     """
     phis = phis.tolist()
-    m = len(phis)
-    rows = 1
-    while rows < count and 2 * rows * m <= _BLOCK_ELEMS:
-        rows *= 2
-    block = tuple(np.zeros((rows, m)) for _ in range(4))
-    block[0][0] = 1.0
-    size = 1
-    while size < rows:
-        ext = dd.cmul(*(a[:size] for a in block), *_dd_unit_power(phis, size))
-        for a, e in zip(block, ext):
-            a[size:2 * size] = e
-        size *= 2
-    # z**rows steps from block to block; one block of a short table needs none
-    zrows = _dd_unit_power(phis, rows) if count > rows else None
-    table = tuple(np.empty((count, m)) for _ in range(4))
-    for start in range(0, count, rows):
-        stop = min(start + rows, count)
-        for t, a in zip(table, block):
-            t[start:stop] = a[:stop - start]
-        if stop < count:
-            block = dd.cmul(*block, *zrows)
+    block = 1
+    while block < count and 2 * block * len(phis) <= _BLOCK_ELEMS:
+        block *= 2
+    table = tuple(np.zeros((count, len(phis))) for _ in range(4))
+    table[0][0] = 1.0
+    start = 1
+    while start < count:
+        back = min(start, block)
+        if back == start:  # z**1, z**2, ..., z**B; then z**B again
+            zback = _dd_unit_power(phis, back)
+        stop = min(start + back, count)
+        for t, e in zip(table, dd.cmul(*(t[start - back:stop - back] for t in table), *zback)):
+            t[start:stop] = e
+        start = stop
     return table
-
-
-def _part(kind: SeriesKind) -> slice:
-    """The (hi, lo) pair of a _dd_trig_table result that ``kind`` sums."""
-    return slice(2, 4) if kind is SeriesKind.SINE else slice(0, 2)
 
 
 def _dd_coeff_arrays(n: float, count: int):
@@ -719,12 +707,13 @@ def _levin_samples(kind: SeriesKind, n: float, phis: np.ndarray, radii, trig=Non
     Returns the real part (cosine) or imaginary part (sine) as (hi, lo),
     the accepted gap |L_K - L_K'| and the accepted order K, each shaped
     (radii, angles).  Raises DivergentSeriesError when some sample has no
-    agreeing pair of orders, as near a branch point of (1 + w)**n.
+    agreeing pair of orders, as near a branch point of (1 + w)**n; the
+    message names the first such sample's |phi|, the angle a grid samples.
     """
     shape = (len(radii), len(phis))
     out_h, out_l, gap = (np.empty(shape[0] * shape[1]) for _ in range(3))
     order = np.zeros(out_h.size, dtype=int)
-    part = _part(kind)
+    part = slice(2, 4) if kind is SeriesKind.SINE else slice(0, 2)  # (hi, lo) of sin or cos
     todo = np.arange(out_h.size)  # samples not yet accepted, radius-major
     cols = slice(None)  # angles with such a sample
     prev = None
@@ -771,7 +760,7 @@ def _levin_samples(kind: SeriesKind, n: float, phis: np.ndarray, radii, trig=Non
         cols = np.flatnonzero((order.reshape(shape) == 0).any(axis=0))  # order 0: open
     raise DivergentSeriesError(
         f"Levin orders up to {_LEVIN_ORDERS[-1]} do not agree for n={n} ({kind.value}, "
-        f"phi={float(phis[todo[0] % shape[1]])}, r={float(radii[todo[0] // shape[1]])}): no Abel value")
+        f"|phi|={abs(float(phis[todo[0] % shape[1]]))}, r={float(radii[todo[0] // shape[1]])}): no Abel value")
 
 
 def abel_sum_grid(kind: SeriesKind, ns, phis, radii=None) -> dict[float, tuple[np.ndarray, np.ndarray, int]]:

@@ -245,11 +245,18 @@ def test_levin_refuses_the_branch_point():
 
 
 def test_abel_refusal_names_the_first_open_sample():
-    # only the largest default radius has no agreeing pair of orders there
+    # only the largest default radius has no agreeing pair of orders there;
+    # the message names |phi|, the angle a grid samples, so a point and a
+    # grid at a negative angle refuse in the same words
     phi = math.pi - 1e-6
-    message = rf"n=-3\.0 \(cos, phi={re.escape(repr(phi))}, r=0\.99\): no Abel value"
+    message = rf"n=-3\.0 \(cos, \|phi\|={re.escape(repr(phi))}, r=0\.99\): no Abel value"
     with pytest.raises(DivergentSeriesError, match=message):
         abel_sum(SeriesSpec("cos", -3.0, phi))
+    with pytest.raises(DivergentSeriesError, match=message) as point:
+        abel_sum(SeriesSpec("cos", -3.0, -phi))
+    with pytest.raises(DivergentSeriesError) as grid:
+        series.abel_sum_grid("cos", [-3.0], [-phi])
+    assert str(grid.value) == str(point.value)
 
 
 def _bits(samples):
@@ -347,6 +354,31 @@ def test_one_tableau_gives_each_exponent_its_own_bits(kind, ns, degrees, radii):
         for together, apart in zip(grid[n][:2], alone[:2]):
             assert [float(x).hex() for x in together] == [float(x).hex() for x in apart]
         assert grid[n][2] == alone[2]
+
+
+#: A signed grid with the band toward the half-turn where Levin samples
+#: reach the second stage; 0 is a settled point of the sine rows.
+PIN_DEGREES = (-167.0, -163.0, -159.0, -151.0, -135.0, -90.0, -45.0, -1.0, 0.0, 1.0, 20.0, 45.0,
+               73.0, 90.0, 111.0, 120.0, 135.0, 145.0, 150.0, 151.0, 152.0, 154.0, 156.0, 158.0,
+               160.0, 161.0, 162.0, 163.0, 164.0, 165.0, 166.0, 168.0)
+
+
+@pytest.mark.parametrize("radii", [DEFAULT_ABEL_RADII, NEGATIVE_SUITE_RADII],
+                         ids=["default_radii", "suite_radii"])
+@pytest.mark.parametrize("kind", list(SeriesKind))
+def test_abel_sum_and_the_grid_are_one_engine_at_n_le_minus_2(kind, radii):
+    # at n <= -2 a point is a one-angle grid of the same engine: a grid of
+    # signed angles gives each point the value and residual of abel_sum
+    ns = (-2.0, -2.5, -3.0, -4.0, -6.0)
+    phis = np.radians(PIN_DEGREES).tolist()
+    grid = series.abel_sum_grid(kind, ns, phis, radii)
+    for n in ns:
+        points = [abel_sum(SeriesSpec(kind, n, phi), radii) for phi in phis]
+        assert [float(v).hex() for v in grid[n][0]] == [p.value.hex() for p in points]
+        assert [float(e).hex() for e in grid[n][1]] == [p.residual_estimate.hex() for p in points]
+        assert grid[n][2] == max(p.terms_used for p in points)
+    # the pin reaches the second Levin stage
+    assert max(used for _, _, used in grid.values()) > series._LEVIN_STAGES[0][-1]
 
 
 def test_a_grid_with_one_diverging_exponent_is_refused():
