@@ -55,7 +55,7 @@ class ExpectedSource(str, enum.Enum):
     PHASE_SERIES = "phase_series"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SuiteCase:
     spec: SeriesSpec
     method: SummationMethod
@@ -98,7 +98,7 @@ class VerificationReport:
     def total(self) -> int:
         return len(self.results)
 
-    @property
+    @functools.cached_property  # counted once per report
     def passed(self) -> int:
         return sum(1 for r in self.results if r.passed)
 
@@ -337,9 +337,10 @@ def run_cases(cases: list[SuiteCase], tolerance_override: float | None = None) -
     """
     if tolerance_override is not None:
         cases = [replace(c, tolerance=tolerance_override) for c in cases]
+    new_result = functools.partial(tuple.__new__, CaseResult)  # namedtuple's __new__, minus its frame
     indices: dict[tuple, array] = defaultdict(lambda: array("q"))  # no int object per case
-    for i, case in enumerate(cases):
-        indices[_row_key(case)].append(i)
+    for i, key in enumerate(map(_row_key, cases)):
+        indices[key].append(i)
     rows = {key: tuple(cases[i].spec.phi for i in idxs) for key, idxs in indices.items()}
     tables = _Tables(rows)
     results: list[CaseResult] = [None] * len(cases)
@@ -354,8 +355,8 @@ def run_cases(cases: list[SuiteCase], tolerance_override: float | None = None) -
         # the judgement of each case, in the same float operations per element
         abs_error = np.abs(computed - expected)
         passed = abs_error <= np.array([case.tolerance for case in row]) * (1.0 + np.abs(expected))
-        for i, result in zip(idxs, map(CaseResult, row, computed.tolist(), expected.tolist(),
-                                       abs_error.tolist(), passed.tolist())):
+        fields = zip(row, computed.tolist(), expected.tolist(), abs_error.tolist(), passed.tolist())
+        for i, result in zip(idxs, map(new_result, fields)):
             results[i] = result
     return results
 
@@ -379,12 +380,21 @@ def _num(x: float) -> str:
     return format(float(x), ".17g")
 
 
+class _Text(dict):
+    """Report text of enum members and floats; a zero is formatted each time, as -0.0 == 0.0."""
+
+    def __missing__(self, x: float) -> str:
+        return self.setdefault(x, "%.17g" % x) if x else "%.17g" % x
+
+
 def report_lines(report: VerificationReport) -> list[str]:
     """Body of the report file; deterministic, no wall time."""
+    text = _Text({member: member.value for member in (*SeriesKind, *SummationMethod)})
     lines = [_HEADER]
     for i, (case, computed, expected, abs_error, passed) in enumerate(report.results):
-        lines.append("%d,%s,%.17g,%.17g,%s,%.17g,%.17g,%.17g,%s" % (  # %.17g gives _num's bytes
-            i, case.spec.kind.value, case.spec.n, case.spec.phi, case.method.value,
+        spec = case.spec
+        lines.append("%d,%s,%s,%s,%s,%.17g,%.17g,%.17g,%s" % (  # %.17g gives _num's bytes
+            i, text[spec.kind], text[spec.n], text[spec.phi], text[case.method],
             computed, expected, abs_error, "true" if passed else "false"))
     lines.append(f"# total={report.total} passed={report.passed} failed={report.failed}")
     return lines

@@ -325,6 +325,14 @@ def test_verify_zero_tolerance_fails(capsys):
     assert code == 1
 
 
+def test_verify_summary_line_counts_match_the_report_trailer(capsys, tmp_path):
+    path = tmp_path / "report.csv"
+    code, out, _ = run(capsys, "verify", "--suite", "lambda", "--tol", "1e-12", "--report", str(path))
+    assert code == 1
+    assert re.fullmatch(r"suite=lambda total=12 passed=7 failed=5 wall_time=\d+\.\d{3}s\n", out)
+    assert path.read_text(encoding="utf-8").splitlines()[-1] == "# total=12 passed=7 failed=5"
+
+
 def test_verify_grid_step_override(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "finite_integer",
                        "--grid-step-deg", "30")

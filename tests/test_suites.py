@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import math
@@ -30,6 +31,7 @@ from trigsum import (
     series_at_phase,
     write_report,
 )
+from trigsum.series import SUMMATION_METHODS
 from trigsum.suites import SUITE_NAMES, CaseResult, VerificationReport, _num, run_cases
 
 
@@ -308,6 +310,97 @@ def test_report_line_template_gives_the_bytes_of_num(n, phi, values, passed, kin
     result = CaseResult(case, *values, passed)
     lines = report_lines(VerificationReport("x", [result] * count, 0.0))
     assert lines[1:-1] == [_line_by_join(i, result) for i in range(count)]
+
+
+# a few values drawn often, so that one report repeats them and mixes the zeros
+_REPORT_ANGLES = st.one_of(st.sampled_from([0.0, -0.0, 1.5, -1.5, 5e-324, -5e-324]),
+                           _REPORT_FLOATS.filter(math.isfinite))
+
+
+def _report_of(rows):
+    """A report of one result per (n, phi, values, passed, kind, method) row."""
+    return VerificationReport("x", [
+        CaseResult(SuiteCase(SeriesSpec(kind, n, phi), method, ExpectedSource.CLOSED_FORM, 1e-9), *values, passed)
+        for n, phi, values, passed, kind, method in rows], 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(_REPORT_ANGLES, _REPORT_ANGLES, st.lists(_REPORT_FLOATS, min_size=3, max_size=3),
+                               st.booleans(), st.sampled_from(list(SeriesKind)),
+                               st.sampled_from(SUMMATION_METHODS)), min_size=1, max_size=12))
+def test_every_line_of_a_report_gives_the_bytes_of_num(rows):
+    report = _report_of(rows)
+    lines = report_lines(report)
+    assert lines[1:-1] == [_line_by_join(i, r) for i, r in enumerate(report.results)]
+
+
+def test_a_report_keeps_the_sign_of_each_zero_n_and_phi():
+    values = [1.0, 0.0, -0.0]
+    rows = [(n, phi, values, True, SeriesKind.COSINE, SummationMethod.PHASE)
+            for n, phi in ((0.0, -0.0), (2.0, 0.5), (2.0, 0.5), (-0.0, 0.0), (2.0, 0.5), (0.0, -0.0), (-0.0, 0.0))]
+    report = _report_of(rows)
+    lines = report_lines(report)
+    assert lines[1:-1] == [_line_by_join(i, r) for i, r in enumerate(report.results)]
+    assert [line.split(",")[2:4] for line in lines[1:-1]] == [
+        ["0", "-0"], ["2", "0.5"], ["2", "0.5"], ["-0", "0"], ["2", "0.5"], ["0", "-0"], ["-0", "0"]]
+
+
+def test_a_suite_case_is_a_frozen_slotted_record():
+    case = build_suite("lambda")[0]
+    assert not hasattr(case, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        case.tolerance = 0.0
+    with pytest.raises(ValueError, match="tolerance must be >= 0"):
+        dataclasses.replace(case, tolerance=-1.0)
+    reduced = SuiteCase(SeriesSpec("cos", -3.0, 1.0), SummationMethod.REDUCED, ExpectedSource.CLOSED_FORM, 1e-12)
+    with pytest.raises(ValueError, match="a reduced case needs"):
+        dataclasses.replace(reduced, spec=SeriesSpec("sin", -3.0, 1.0))
+    # perfbench's seeded grids shift each angle this way
+    moved = dataclasses.replace(reduced, spec=SeriesSpec("cos", -3.0, 1.25))
+    assert moved == SuiteCase(SeriesSpec("cos", -3.0, 1.25), SummationMethod.REDUCED,
+                              ExpectedSource.CLOSED_FORM, 1e-12)
+
+
+#: SHA-256 of report bodies under a tolerance override, recorded before cases had slots.
+_OVERRIDE_REPORT_SHA256 = {
+    ("finite_integer", 15.0, 1e-16): "7deb21c88bd97984675f3c857e93aff3e0e8f758df1448f9cec46f30ffbef8e2",
+    ("lambda", None, 1e-12): "33e8121c2c7baa0b10170de8618b2cd14d69fccbdf1dd48aededb4ed09fb2fca",
+}
+
+
+@pytest.mark.parametrize("name,step,tol", list(_OVERRIDE_REPORT_SHA256))
+def test_a_tolerance_override_judges_as_cases_built_with_that_tolerance(name, step, tol):
+    cases = build_suite(name, step)
+    results = run_cases(cases, tolerance_override=tol)
+    direct = run_cases([SuiteCase(**{**{f.name: getattr(c, f.name) for f in dataclasses.fields(c)},
+                                     "tolerance": tol}) for c in cases])
+    assert all(type(r) is CaseResult for r in results)
+    for r, d, case in zip(results, direct, cases):
+        assert r.case == d.case and r.case.tolerance == tol and r.case.spec is case.spec
+        assert r.passed is d.passed
+        assert [_num(x) for x in (r.computed, r.expected, r.abs_error)] == [
+            _num(x) for x in (d.computed, d.expected, d.abs_error)]
+    assert 0 < sum(r.passed for r in results) < len(results)
+    body = "\n".join(report_lines(VerificationReport(name, results, 0.0))) + "\n"
+    assert hashlib.sha256(body.encode()).hexdigest() == _OVERRIDE_REPORT_SHA256[(name, step, tol)]
+
+
+class _ReadCount(list):
+    """A list that counts the passes made over it."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+def test_a_report_counts_its_passes_once():
+    results = _ReadCount(run_suite("lambda", tolerance_override=1e-12).results)
+    report = VerificationReport("lambda", results, 0.0)
+    assert report_lines(report)[-1] == "# total=12 passed=7 failed=5"
+    assert (report.total, report.passed, report.failed) == (12, 7, 5)
+    assert results.reads == 2  # the lines, and the passes once
 
 
 def test_a_refused_terminating_row_gives_nan_cases():
