@@ -1,8 +1,8 @@
 """Verification suites: summation oracles against closed forms on angle grids.
 
 Each suite is a flat list of cases.  A case names one series, the method
-that computes it, where its expected value comes from (closed form,
-radical catalog, or a literal with a provenance note) and the tolerance.
+that computes it, where its expected value comes from (closed form, phase
+series, or a literal with a provenance note) and the tolerance.
 A case passes when ``abs_error <= tolerance * (1 + |expected|)``.
 
 Suites are deterministic: identical invocations produce byte-identical
@@ -50,7 +50,6 @@ NEGATIVE_SUITE_RADII = tuple(
 
 class ExpectedSource(str, enum.Enum):
     CLOSED_FORM = "closed_form"
-    CATALOG = "catalog"
     LITERAL = "literal"
     PHASE_SERIES = "phase_series"
 
@@ -69,8 +68,9 @@ class SuiteCase:
     def __post_init__(self):
         if not self.tolerance >= 0.0:  # NaN too
             raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
-        if self.expected_source is ExpectedSource.LITERAL and not self.note:
-            raise ValueError("literal expectations need a provenance note")
+        if self.expected_source is ExpectedSource.LITERAL and (
+                not self.note or self.expected_literal is None and not self.expect_divergent):
+            raise ValueError("a literal expectation needs its value and a provenance note")
         kind, n, phi = self.spec.kind, self.spec.n, self.spec.phi
         # a reduced case computes reduced_neg_int(-n), a closed one quarter_turn_sum(n)
         if self.method is SummationMethod.REDUCED and not (
@@ -175,8 +175,8 @@ def _build_half_integer(step: float | None) -> list[SuiteCase]:
         partial = entry.spec.n > 0 and entry.spec.phi == math.pi
         cases.append(SuiteCase(
             spec=entry.spec, method=SummationMethod.PARTIAL if partial else SummationMethod.ABEL,
-            expected_source=ExpectedSource.CATALOG, tolerance=1e-3 if partial else 1e-6,
-            expect_divergent=entry.divergent))
+            expected_source=ExpectedSource.LITERAL, tolerance=1e-3 if partial else 1e-6,
+            note=entry.description, expected_literal=entry.value, expect_divergent=entry.divergent))
     return cases
 
 
@@ -297,21 +297,12 @@ def _computed_row(key: tuple, phis: tuple, tables: _Tables):
     return out
 
 
-def _catalog_value(spec: SeriesSpec) -> float:
-    for entry in special_value_catalog():
-        if entry.spec == spec:
-            return math.nan if entry.value is None else entry.value
-    raise ValueError(f"no catalog entry for {spec}")
-
-
 def _expected_row(key: tuple, phis: tuple, row: list[SuiteCase], tables: _Tables):
     kind, n, _method, source, *_ = key
     if source is ExpectedSource.LITERAL:
         return [float(case.expected_literal) for case in row]
     if source is ExpectedSource.CLOSED_FORM:
         return evaluate_closed(kind, n, phis).value
-    if source is ExpectedSource.CATALOG:
-        return [_catalog_value(case.spec) for case in row]
     # the row polynomial by one Horner pass at p: its real and imaginary parts
     return tables.phase_series(n, phis)[kind is SeriesKind.SINE]
 

@@ -3,7 +3,6 @@ import functools
 import hashlib
 import math
 import os
-import re
 import resource
 import subprocess
 import sys
@@ -29,6 +28,7 @@ from trigsum import (
     report_lines,
     run_suite,
     series_at_phase,
+    special_value_catalog,
     write_report,
 )
 from trigsum.series import SUMMATION_METHODS
@@ -43,6 +43,12 @@ def test_suite_case_validation():
     with pytest.raises(ValueError):
         SuiteCase(spec, SummationMethod.PARTIAL, ExpectedSource.CLOSED_FORM,
                   tolerance=-1.0)
+    # a literal needs its value too, unless the case expects a refusal and so
+    # reads no expected value; run_cases would fail the whole run on None
+    with pytest.raises(ValueError, match="needs its value"):
+        SuiteCase(spec, SummationMethod.PARTIAL, ExpectedSource.LITERAL, 1e-6, note="x")
+    SuiteCase(spec, SummationMethod.PARTIAL, ExpectedSource.LITERAL, 1e-6, note="x",
+              expect_divergent=True)
 
 
 @pytest.mark.parametrize("kind,n", [("cos", -2.5), ("cos", 0.0), ("cos", -8.0), ("sin", -3.0)])
@@ -187,10 +193,18 @@ def test_a_case_that_expects_divergence_passes_only_on_a_refusal():
     assert results[2].computed == evaluate(summed.spec, SummationMethod.PARTIAL).value
 
 
-def test_a_catalog_case_without_an_entry_is_a_value_error():
-    spec = SeriesSpec("cos", 1.5, 1.0)
-    with pytest.raises(ValueError, match=f"no catalog entry for {re.escape(str(spec))}"):
-        run_cases([SuiteCase(spec, SummationMethod.PARTIAL, ExpectedSource.CATALOG, 1e-6)])
+def test_catalog_cases_carry_their_entry_values():
+    cases = build_suite("half_integer")
+    entries = special_value_catalog()
+    assert [c.spec for c in cases] == [e.spec for e in entries]
+    for case, entry in zip(cases, entries):
+        assert case.expected_source is ExpectedSource.LITERAL
+        assert case.note == entry.description
+        assert case.expect_divergent is entry.divergent
+        if entry.value is None:
+            assert case.expected_literal is None and case.expect_divergent
+        else:
+            assert case.expected_literal.hex() == entry.value.hex()
 
 
 def test_suite_case_rejects_a_nan_tolerance():
@@ -238,13 +252,8 @@ _REPORT_SHA256 = {
 def _case_by_itself(case):
     """(computed, expected) of one case from the scalar entry points."""
     spec = case.spec
-    if case.method is SummationMethod.CLOSED:
-        computed = quarter_turn_sum(spec.n).value
-    else:
-        try:
-            computed = evaluate(spec, case.method, radii=case.radii).value
-        except (DivergentSeriesError, DomainError):
-            computed = math.nan
+    computed = _computed_alone(spec, case.method, case.radii,
+                               math.copysign(1.0, spec.n), math.copysign(1.0, spec.phi))
     if case.expected_source is ExpectedSource.LITERAL:
         expected = case.expected_literal
     elif case.expected_source is ExpectedSource.CLOSED_FORM:
@@ -252,6 +261,18 @@ def _case_by_itself(case):
     else:
         expected = _phase_series_alone(spec.n, spec.phi)[spec.kind is SeriesKind.SINE]
     return computed, expected
+
+
+@functools.lru_cache(maxsize=None)
+def _computed_alone(spec, method, radii, *_signs):
+    # the cases of one series and method (phase_equivalence's two expected
+    # sources) read one scalar call; the signs of n and phi keep -0.0 apart
+    if method is SummationMethod.CLOSED:
+        return quarter_turn_sum(spec.n).value
+    try:
+        return evaluate(spec, method, radii=radii).value
+    except (DivergentSeriesError, DomainError):
+        return math.nan
 
 
 @functools.lru_cache(maxsize=None)
@@ -277,6 +298,7 @@ def test_grouped_rows_give_every_case_the_bits_it_gets_alone(name, step):
         assert _same_double(r.expected, expected), r.case
         assert _same_double(r.abs_error, abs_error), r.case
         assert r.passed is passed, r.case
+    _computed_alone.cache_clear()
     _phase_series_alone.cache_clear()
     body = "\n".join(report_lines(report)) + "\n"
     assert hashlib.sha256(body.encode()).hexdigest() == _REPORT_SHA256[(name, step)]
@@ -438,23 +460,24 @@ def _field_text(v):
     return v.hex() if isinstance(v, float) else str(getattr(v, "value", v))
 
 
-#: build_suite output as the former per-suite loops built it.  Report bodies
-#: carry no tolerance, expected source or radii, so they are pinned here.
+#: build_suite output as the former per-suite loops built it, except that the
+#: half_integer cases (and so "all") carry their catalog values as literals.
+#: Report bodies carry no tolerance, expected source or radii, so they are pinned here.
 _CASES_SHA256 = {
     ("finite_integer", None): "a28cfe5f9498e8758605d74bb90f0c80e815ffb9a3ca45e625d49ee0fbd6156a",
     ("negative_integer", None): "843f2806526e54d1fd8311acc6b1e7146ea8473fdf31b31d92f6805bc3c64e34",
-    ("half_integer", None): "52e8d4dc5dce2e45ea024a9b01c5d76a62579b804b1e0b5ae5152f3e2a477b29",
+    ("half_integer", None): "b87e54ffd2d99b18abba90a495ecbe1a415a579ba3a548e90fb23f8d99a7e923",
     ("quarter_turn", None): "abf15d4dc9fcae9fc4fe66805deb2da33be13e1b177650cacf827636882ccc11",
     ("lambda", None): "2881ddb01a2836f8979a15898daaed682aa47a89c28f0ca9992c4b991608af9d",
     ("phase_equivalence", None): "24dfe058e85e8da4d91889644994a96f4b215a5ccf7d894a9b44d9c89e41443c",
-    ("all", None): "e4cd91fcbed140537638022b907ac8f8bf864db6e839ecb84bafa21c023541e1",
+    ("all", None): "f0bdf38138adf61f74441bd8d671d287b45b9bb70efed0dea0e23100f0be46c5",
     ("finite_integer", 0.5): "5cbb1de3d4a20aff5b33eb03acde700985dfd5ab0fa908c04bcdf5f6de657cc4",
     ("negative_integer", 0.5): "408ce9956d409c0f83568eccf9901880f3ebd89a858808e8f01338107f34d916",
-    ("half_integer", 0.5): "52e8d4dc5dce2e45ea024a9b01c5d76a62579b804b1e0b5ae5152f3e2a477b29",
+    ("half_integer", 0.5): "b87e54ffd2d99b18abba90a495ecbe1a415a579ba3a548e90fb23f8d99a7e923",
     ("quarter_turn", 0.5): "abf15d4dc9fcae9fc4fe66805deb2da33be13e1b177650cacf827636882ccc11",
     ("lambda", 0.5): "2881ddb01a2836f8979a15898daaed682aa47a89c28f0ca9992c4b991608af9d",
     ("phase_equivalence", 0.5): "5d4321884b10387015b6ede5507a3dd83f50134af55484e1770e661d2d627819",
-    ("all", 0.5): "a6850e4ca5b25d437471ae2a267bc7f1bd00274c758d2013cc4e6f5fe92ee3c0",
+    ("all", 0.5): "d14fd23ca49695692f45daacb1f8143a013852a9e5531a6cf66220566f51dbbc",
 }
 
 
