@@ -72,6 +72,8 @@ def evaluate_closed(kind: SeriesKind, n: float, phi) -> ClosedFormValue:
         with np.errstate(all="ignore"):  # quiet, as one angle is: overflow, and 1 / +-0 = +-inf
             value = _ipow(np.array(base), int(n)) * np.array(trig)
         return ClosedFormValue(np.where(ok, value, math.nan), ok)
+    half = 0.5 * n * phi
+    trig = math.sin(half) if sine else math.cos(half)
     if is_integer_exponent(n):
         base = 2.0 * math.cos(0.5 * phi)
         if n < 0 and (_at_half_turn(phi) or base == 0.0):
@@ -84,16 +86,22 @@ def evaluate_closed(kind: SeriesKind, n: float, phi) -> ClosedFormValue:
         base = 2.0 * math.cos(0.5 * phi) if -math.pi < phi < math.pi else 0.0
         if base <= 0.0:
             return ClosedFormValue(math.nan, False)
-        factor = math.exp(n * math.log(base))
-    half = 0.5 * n * phi
-    return ClosedFormValue(factor * (math.sin(half) if sine else math.cos(half)), True)
+        log_power = n * math.log(base)
+        try:
+            factor = math.exp(log_power)
+        except OverflowError:  # the power alone is past the doubles; times trig the value may not be
+            try:  # log(0) raises ValueError, and inf * 0 below is nan, as on the integer route
+                return ClosedFormValue(math.copysign(math.exp(log_power + math.log(abs(trig))), trig), True)
+            except (OverflowError, ValueError):
+                factor = math.inf
+    return ClosedFormValue(factor * trig, True)
 
 
 def reduced_neg_int(m: int, phi: float) -> ClosedFormValue:
     """Reduced algebraic form of the cosine series at n = -m, m in 1..7.
 
-    m = 1 collapses to the constant 1/2; the others divide a multiple-angle
-    cosine by the matching power of the half-angle cosine.  Equal to
+    A multiple-angle cosine divided by the matching power of the half-angle
+    cosine; at m = 1 the quotient is exactly 1/2.  Equal to
     evaluate_closed("cos", -m, phi) everywhere away from the poles, and
     undefined like it at the half-turn.
     """
@@ -101,41 +109,34 @@ def reduced_neg_int(m: int, phi: float) -> ClosedFormValue:
         raise ValueError("m must be in 1..7")
     if _at_half_turn(phi):
         return ClosedFormValue(math.nan, False)
-    h = math.cos(0.5 * phi)
-    if m == 1:
-        value = 0.5
-    else:
-        value = math.cos(0.5 * m * phi) / (2.0 ** m * h ** m)
+    value = math.cos(0.5 * m * phi) / (2.0 ** m * math.cos(0.5 * phi) ** m)
     return ClosedFormValue(value, True)
 
 
-def _quarter_turn_value(n: float) -> float:
-    """2**(n/2) * cos(n * pi/4).
-
-    Integer n lands on an eighth of a turn, where the cosine is 0, +-1 or
-    +-sqrt(2)/2 and the value collapses to 0 or an exact power of two;
-    those cases are returned exactly.
-    """
-    if is_integer_exponent(n):
-        ni = int(n)
-        j = ni % 8
-        if j % 2:
-            sign = 1.0 if j in (1, 7) else -1.0
-            return sign * 2.0 ** ((ni - 1) // 2)
-        if j in (2, 6):
-            return 0.0
-        sign = 1.0 if j == 0 else -1.0
-        return sign * 2.0 ** (ni // 2)
-    return 2.0 ** (0.5 * n) * math.cos(0.25 * n * math.pi)
+#: The sign of cos(n * 45 degrees) at n mod 8; times 2**(n // 2), it gives integer n's sum.
+_EIGHTH_TURN_SIGNS = (1.0, 1.0, 0.0, -1.0, -1.0, -1.0, 0.0, 1.0)
 
 
 def quarter_turn_sum(n: float) -> ClosedFormValue:
     """Value of the alternating even-index sum 1 - (n|2) + (n|4) - ...
 
     This is the cosine series at a quarter turn, where odd-index terms
-    drop out; its closed form is 2**(n/2) * cos(n * 45 degrees).
+    drop out; its closed form is 2**(n/2) * cos(n * 45 degrees).  For
+    integer n that is exactly 0 or +-2**(n // 2).
     """
-    return ClosedFormValue(_quarter_turn_value(n), True)
+    if is_integer_exponent(n):
+        scale, exponent = _EIGHTH_TURN_SIGNS[int(n) % 8], int(n) // 2
+    else:
+        cosine = math.cos(0.25 * n * math.pi)
+        try:
+            return ClosedFormValue(2.0 ** (0.5 * n) * cosine, True)
+        except OverflowError:  # 2**(n/2) alone is past the doubles; times the cosine it may not be
+            exponent = math.floor(0.5 * n)
+            scale = cosine * 2.0 ** (0.5 * n - exponent)
+    try:
+        return ClosedFormValue(math.ldexp(scale, exponent), True)
+    except OverflowError:  # past the doubles: a signed infinity, as evaluate_closed gives
+        return ClosedFormValue(math.copysign(math.inf, scale), True)
 
 
 def lambda_series_closed(lam: float) -> ClosedFormValue:
@@ -145,7 +146,7 @@ def lambda_series_closed(lam: float) -> ClosedFormValue:
     which is the quarter-turn sum at exponent -lambda, and is computed as
     exactly that mirror.
     """
-    return ClosedFormValue(_quarter_turn_value(-float(lam)), True)
+    return quarter_turn_sum(-float(lam))
 
 
 # ----------------------------------------------------------------------

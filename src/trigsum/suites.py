@@ -35,6 +35,7 @@ from .series import (
     SeriesKind,
     SeriesSpec,
     SummationMethod,
+    _validate_radii,
     abel_sum_grid,
     evaluate,
     rotations,
@@ -68,6 +69,8 @@ class SuiteCase:
     def __post_init__(self):
         if not self.tolerance >= 0.0:  # NaN too
             raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
+        if self.radii is not None:  # a tuple that abel_sum takes, or ValueError now, not mid-run
+            object.__setattr__(self, "radii", _validate_radii(self.radii))
         if self.expected_source is ExpectedSource.LITERAL and (
                 not self.note or self.expected_literal is None and not self.expect_divergent):
             raise ValueError("a literal expectation needs its value and a provenance note")
@@ -145,16 +148,11 @@ def _build_finite_integer(step: float | None) -> list[SuiteCase]:
     return _sweep(map(float, range(0, 11)), SeriesKind, grid, lambda n: (partial,))
 
 
-_QUARTER_TURN_LITERALS = {2.0: 0.0, 3.0: -2.0, 4.0: -4.0, 5.0: -4.0, 6.0: 0.0, 7.0: 8.0, 8.0: 16.0}
-
-
-def _build_quarter_turn(step: float | None) -> list[SuiteCase]:
-    literal = dict(expected_source=ExpectedSource.LITERAL)
-    return _sweep(_QUARTER_TURN_LITERALS, (SeriesKind.COSINE,), (90.0,), lambda n: (
-        dict(literal, method=SummationMethod.PARTIAL, tolerance=1e-12,
-             expected_literal=_QUARTER_TURN_LITERALS[n], note="alternating even-index row sum"),
-        dict(literal, method=SummationMethod.CLOSED, tolerance=1e-15,
-             expected_literal=_QUARTER_TURN_LITERALS[n], note="quarter-turn closed value")))
+def _quarter_turn_family(literals: dict, summed: tuple, closed: tuple) -> list[SuiteCase]:
+    """A literal case at a quarter turn per exponent of ``literals`` and (method, tolerance, note)."""
+    return _sweep(literals, (SeriesKind.COSINE,), (90.0,), lambda n: tuple(
+        dict(method=method, expected_source=ExpectedSource.LITERAL, tolerance=tolerance,
+             note=note, expected_literal=literals[n]) for method, tolerance, note in (summed, closed)))
 
 
 def _build_negative_integer(step: float | None) -> list[SuiteCase]:
@@ -180,16 +178,6 @@ def _build_half_integer(step: float | None) -> list[SuiteCase]:
     return cases
 
 
-_LAMBDA_LITERALS = {-1.0: 0.5, -2.0: 0.0, -3.0: -0.25, -4.0: -0.25, -5.0: -0.125, -6.0: 0.0}
-
-
-def _build_lambda(step: float | None) -> list[SuiteCase]:
-    literal = dict(expected_source=ExpectedSource.LITERAL, note="quarter-turn family value")
-    return _sweep(_LAMBDA_LITERALS, (SeriesKind.COSINE,), (90.0,), lambda n: (
-        dict(literal, method=SummationMethod.ABEL, tolerance=1e-6, expected_literal=_LAMBDA_LITERALS[n]),
-        dict(literal, method=SummationMethod.CLOSED, tolerance=1e-14, expected_literal=_LAMBDA_LITERALS[n])))
-
-
 def _phase_variants(n: float) -> tuple[dict, ...]:
     tol = 1e-12 * 2.0 ** n
     return tuple(dict(method=SummationMethod.PHASE, expected_source=source, tolerance=tol)
@@ -205,8 +193,14 @@ _BUILDERS = {
     "finite_integer": _build_finite_integer,
     "negative_integer": _build_negative_integer,
     "half_integer": _build_half_integer,
-    "quarter_turn": _build_quarter_turn,
-    "lambda": _build_lambda,
+    "quarter_turn": lambda step: _quarter_turn_family(
+        {2.0: 0.0, 3.0: -2.0, 4.0: -4.0, 5.0: -4.0, 6.0: 0.0, 7.0: 8.0, 8.0: 16.0},
+        (SummationMethod.PARTIAL, 1e-12, "alternating even-index row sum"),
+        (SummationMethod.CLOSED, 1e-15, "quarter-turn closed value")),
+    "lambda": lambda step: _quarter_turn_family(
+        {-1.0: 0.5, -2.0: 0.0, -3.0: -0.25, -4.0: -0.25, -5.0: -0.125, -6.0: 0.0},
+        (SummationMethod.ABEL, 1e-6, "quarter-turn family value"),
+        (SummationMethod.CLOSED, 1e-14, "quarter-turn family value")),
     "phase_equivalence": _build_phase_equivalence,
 }
 

@@ -236,6 +236,10 @@ def test_table_partial_on_a_summable_only_row_is_nan(capsys):
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert [row[2] for row in rows] == ["nan", "nan"]
     assert all(math.isfinite(float(row[3])) for row in rows)
+    # n = 1100.5: the terms overflow, and so does the closed form, to a signed infinity
+    code, out, _ = run(capsys, "table", "--kind", "cos", "--n", "1100.5", "--from", "0deg",
+                       "--to", "1deg", "--step", "1deg", "--methods", "partial")
+    assert (code, out.splitlines()[1:]) == (0, ["0,0,nan,inf", "1,0.017453292519943295,nan,-inf"])
 
 
 def test_sum_abel_far_from_the_unit_scale(capsys):

@@ -1,10 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trigsum import (
+    ClosedFormValue,
     SeriesKind,
     SeriesSpec,
     abel_sum,
@@ -96,8 +98,10 @@ def test_reduced_forms_match_general_closed_form():
 
 
 def test_reduced_form_special_points():
-    assert reduced_neg_int(1, 0.123).value == 0.5
-    assert reduced_neg_int(1, 2.9).value == 0.5
+    # m = 1 has no branch of its own: cos(phi/2) / (2 cos(phi/2)) is exactly 1/2
+    near_half_turn = [s * math.pi * (1.0 - 2.0 ** -k) for k in range(1, 53) for s in (1.0, -1.0)]
+    for phi in [math.radians(0.1 * d) for d in range(-1799, 1800)] + near_half_turn:
+        assert reduced_neg_int(1, phi) == ClosedFormValue(0.5, True), phi
     assert reduced_neg_int(2, 0.5 * math.pi).value == pytest.approx(0.0, abs=1e-16)
     # the two published shapes of the m=3 reduction agree, and both vanish
     # at a third of a turn
@@ -124,6 +128,12 @@ def test_quarter_turn_integer_values_are_exact():
         assert quarter_turn_sum(n).value == v
     assert quarter_turn_sum(-1).value == 0.5
     assert quarter_turn_sum(-5).value == -0.125
+    # every integer down past the subnormals and up to the largest finite value,
+    # against 2**(n/2) * cos(n*pi/4) at 60 digits, rounded once; +0.0 at n = 2, 6 mod 8
+    with mp.workdps(60):
+        for n in range(-2200, 2048):
+            exact = 0.0 if n % 8 in (2, 6) else float(mp.power(2, mp.mpf(n) / 2) * mp.cospi(mp.mpf(n) / 4))
+            assert quarter_turn_sum(n).value.hex() == exact.hex(), n
 
 
 def test_quarter_turn_matches_general_closed_form():
@@ -140,12 +150,9 @@ def test_lambda_series_values():
 
 
 def test_lambda_mirrors_quarter_turn():
-    for lam in range(0, 7):
-        assert abs(lambda_series_closed(lam).value
-                   - quarter_turn_sum(-lam).value) <= 1e-14
-    for lam in (0.5, 1.25, 3.75):
-        assert abs(lambda_series_closed(lam).value
-                   - quarter_turn_sum(-lam).value) <= 1e-14
+    for lam in [*range(-2100, 2200), 0.5, 1.25, 3.75, -2048.5]:
+        mirror, quarter = lambda_series_closed(lam), quarter_turn_sum(-lam)
+        assert (mirror.value.hex(), mirror.domain_ok) == (quarter.value.hex(), quarter.domain_ok), lam
 
 
 def test_pythagorean_closure_sample():
@@ -255,3 +262,31 @@ def test_an_underflowed_negative_power_overflows_to_an_infinity():
     closed = evaluate_closed("cos", -64.0, near)
     assert closed.domain_ok and closed.value == math.inf
     assert evaluate_closed("cos", -63.0, math.nextafter(3.0 * math.pi, 0.0)).value in (math.inf, -math.inf)
+    # a fractional exponent past the doubles gives the signed infinity an integer one does
+    assert evaluate_closed("cos", 1100.5, 0.0) == evaluate_closed("cos", 1100.0, 0.0) == ClosedFormValue(math.inf, True)
+    assert evaluate_closed("cos", 1100.5, math.radians(1.0)).value == -math.inf  # cos(1100.5 * 0.5 deg) < 0
+    assert evaluate_closed("sin", 1100.5, [0.2, 0.3]).value.tolist() == [-math.inf, math.inf]
+    # where only the power passes the doubles, the product with the trig factor stays finite:
+    # 2**1024.5 cos(0.001)**1024.5 cos(1.0245) is about 1.32e308, and its sine twin 2.17e308
+    with mp.workdps(60):
+        n, phi = mp.mpf(1024.5), mp.mpf(0.002)
+        exact = float(mp.power(2 * mp.cos(phi / 2), n) * mp.cos(n * phi / 2))
+    assert evaluate_closed("cos", 1024.5, 0.002).value == pytest.approx(exact, rel=1e-12)
+    assert evaluate_closed("sin", 1024.5, 0.002).value == math.inf
+    # at phi = pi/1024.5 the trig factor is cos(pi/2) as rounded, about 6e-17; it is kept, not
+    # lost to inf * 6e-17 (cos of a rounded n*phi/2 this close to its zero is the formula's own error)
+    phi = math.pi / 1024.5
+    with mp.workdps(60):
+        kept = float(mp.power(2 * mp.cos(mp.mpf(phi) / 2), 1024.5) * math.cos(0.5 * 1024.5 * phi))
+    assert evaluate_closed("cos", 1024.5, phi).value == pytest.approx(kept, rel=1e-12)
+    # so does the quarter-turn sum of an integer n from 2048 on, but at its zeros, and its lambda mirror
+    assert [quarter_turn_sum(n).value for n in range(2048, 2056)] == [
+        math.inf, math.inf, 0.0, -math.inf, -math.inf, -math.inf, 0.0, math.inf]
+    assert lambda_series_closed(-2048).value == math.inf and lambda_series_closed(-2051).value == -math.inf
+    # a fractional n past 2048 is finite while 2**(n/2) cos(n*45 deg) is: n = 2049.5 and 2050.5 are
+    # about 1.16e308 and -1.64e308 (cos(n*45 deg) is taken from a rounded n*pi/4, as below 2048)
+    with mp.workdps(60):
+        for n in (2049.5, 2050.5):
+            exact = float(mp.power(2, mp.mpf(n) / 2) * mp.cospi(mp.mpf(n) / 4))
+            assert quarter_turn_sum(n).value == pytest.approx(exact, rel=2e-12), n
+    assert quarter_turn_sum(2048.5).value == math.inf and quarter_turn_sum(2051.5).value == -math.inf

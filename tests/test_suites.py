@@ -49,6 +49,13 @@ def test_suite_case_validation():
         SuiteCase(spec, SummationMethod.PARTIAL, ExpectedSource.LITERAL, 1e-6, note="x")
     SuiteCase(spec, SummationMethod.PARTIAL, ExpectedSource.LITERAL, 1e-6, note="x",
               expect_divergent=True)
+    # radii are checked when the case is built, by the rule abel_sum applies, and
+    # kept as a tuple; a list or a bad schedule would abort the whole run later
+    abel = functools.partial(SuiteCase, spec, SummationMethod.ABEL, ExpectedSource.CLOSED_FORM, 1e-6)
+    assert abel(radii=[0.9, 0.95, 0.99]).radii == (0.9, 0.95, 0.99)
+    for radii in ([0.9, 0.95, 1.0], (0.9, 0.99, 0.95), (0.9, 0.95)):
+        with pytest.raises(ValueError):
+            abel(radii=radii)
 
 
 @pytest.mark.parametrize("kind,n", [("cos", -2.5), ("cos", 0.0), ("cos", -8.0), ("sin", -3.0)])
