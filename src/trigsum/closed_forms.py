@@ -49,52 +49,55 @@ def _ipow(base, exponent: int):
     return result
 
 
+def _times_power(factor: float, log2_power: float) -> float:
+    """factor * 2**log2_power without forming the power alone: a signed infinity
+    past the doubles, and 0 (signed as factor) where factor is 0."""
+    try:
+        whole = math.floor(log2_power)
+        return math.ldexp(factor * 2.0 ** (log2_power - whole), whole)
+    except OverflowError:
+        return math.copysign(math.inf, factor)
+
+
 def evaluate_closed(kind: SeriesKind, n: float, phi) -> ClosedFormValue:
     """Product closed form of the ``kind`` series sum_k gen_binom(n,k) trig(k*phi).
 
-    Defined for every phi away from the half-turn poles for integer n, and
-    for phi in (-pi, pi) for fractional n; outside, it returns nan with
-    domain_ok False and raises nothing.  At a sequence of angles both fields
-    are arrays, each entry with the bits of its one-angle call.
+    Defined for every phi but the half turn for integer n < 0, every phi for
+    integer n >= 0, and phi in (-pi, pi) for fractional n; outside, it
+    returns nan with domain_ok False and raises nothing, and inside it is
+    never nan.  Past the doubles it is a signed infinity.  At a sequence of
+    angles both fields are arrays, each entry with the bits of its one-angle call.
     """
     sine = kind == SeriesKind.SINE  # two comparisons cost less than a SeriesKind call
     if not sine and kind != SeriesKind.COSINE:
         SeriesKind(kind)  # raises ValueError
+    integer = is_integer_exponent(n)
     if hasattr(phi, "__len__") and np.ndim(phi):  # a sequence of angles
         phis = np.asarray(phi, dtype=float).tolist()
-        if not is_integer_exponent(n):  # np.exp and np.log round otherwise than math's
+        if not integer:  # np.exp and np.log round otherwise than math's
             parts = [evaluate_closed(kind, n, x) for x in phis]
             return ClosedFormValue(np.array([p.value for p in parts]),
                                    np.array([p.domain_ok for p in parts], dtype=bool))
-        base = [2.0 * math.cos(0.5 * x) for x in phis]
-        ok = ~np.array([n < 0 and (_at_half_turn(x) or b == 0.0) for x, b in zip(phis, base)], dtype=bool)
-        trig = [math.sin(0.5 * n * x) if sine else math.cos(0.5 * n * x) for x in phis]
+        ok = np.array([n >= 0 or not _at_half_turn(x) for x in phis], dtype=bool)
+        base = np.array([2.0 * math.cos(0.5 * x) for x in phis])
+        trig = np.array([math.sin(0.5 * n * x) if sine else math.cos(0.5 * n * x) for x in phis])
         with np.errstate(all="ignore"):  # quiet, as one angle is: overflow, and 1 / +-0 = +-inf
-            value = _ipow(np.array(base), int(n)) * np.array(trig)
-        return ClosedFormValue(np.where(ok, value, math.nan), ok)
+            value = np.where(ok, _ipow(base, int(n)) * trig, math.nan)
+        for i in np.flatnonzero(ok & ~np.isfinite(value)).tolist():  # past the doubles
+            value[i] = evaluate_closed(kind, n, phis[i]).value
+        return ClosedFormValue(value, ok)
+    if (n < 0 and _at_half_turn(phi)) if integer else not -math.pi < phi < math.pi:
+        return ClosedFormValue(math.nan, False)
     half = 0.5 * n * phi
     trig = math.sin(half) if sine else math.cos(half)
-    if is_integer_exponent(n):
-        base = 2.0 * math.cos(0.5 * phi)
-        if n < 0 and (_at_half_turn(phi) or base == 0.0):
-            return ClosedFormValue(math.nan, False)
-        try:
-            factor = _ipow(base, int(n))
-        except ZeroDivisionError:  # base**-n underflowed to +-0, and IEEE gives 1 / +-0 = +-inf
-            factor = math.copysign(math.inf, _ipow(base, -int(n)))
-    else:
-        base = 2.0 * math.cos(0.5 * phi) if -math.pi < phi < math.pi else 0.0
-        if base <= 0.0:
-            return ClosedFormValue(math.nan, False)
-        log_power = n * math.log(base)
-        try:
-            factor = math.exp(log_power)
-        except OverflowError:  # the power alone is past the doubles; times trig the value may not be
-            try:  # log(0) raises ValueError, and inf * 0 below is nan, as on the integer route
-                return ClosedFormValue(math.copysign(math.exp(log_power + math.log(abs(trig))), trig), True)
-            except (OverflowError, ValueError):
-                factor = math.inf
-    return ClosedFormValue(factor * trig, True)
+    base = 2.0 * math.cos(0.5 * phi)  # never 0 at a double phi, and above 0 inside (-pi, pi)
+    try:
+        value = (_ipow(base, int(n)) if integer else math.exp(n * math.log(base))) * trig
+    except (OverflowError, ZeroDivisionError):  # exp past the doubles, or 1 / (base**-n = +-0)
+        value = math.inf
+    if not math.isfinite(value):  # the power alone is past the doubles; times trig the value may not be
+        value = _times_power(trig if base > 0.0 or n % 2 == 0 else -trig, n * math.log2(abs(base)))
+    return ClosedFormValue(value, True)
 
 
 def reduced_neg_int(m: int, phi: float) -> ClosedFormValue:
@@ -125,18 +128,12 @@ def quarter_turn_sum(n: float) -> ClosedFormValue:
     integer n that is exactly 0 or +-2**(n // 2).
     """
     if is_integer_exponent(n):
-        scale, exponent = _EIGHTH_TURN_SIGNS[int(n) % 8], int(n) // 2
-    else:
-        cosine = math.cos(0.25 * n * math.pi)
-        try:
-            return ClosedFormValue(2.0 ** (0.5 * n) * cosine, True)
-        except OverflowError:  # 2**(n/2) alone is past the doubles; times the cosine it may not be
-            exponent = math.floor(0.5 * n)
-            scale = cosine * 2.0 ** (0.5 * n - exponent)
+        return ClosedFormValue(_times_power(_EIGHTH_TURN_SIGNS[int(n) % 8], int(n) // 2), True)
+    cosine = math.cos(0.25 * n * math.pi)
     try:
-        return ClosedFormValue(math.ldexp(scale, exponent), True)
-    except OverflowError:  # past the doubles: a signed infinity, as evaluate_closed gives
-        return ClosedFormValue(math.copysign(math.inf, scale), True)
+        return ClosedFormValue(2.0 ** (0.5 * n) * cosine, True)
+    except OverflowError:  # 2**(n/2) alone is past the doubles; times the cosine it may not be
+        return ClosedFormValue(_times_power(cosine, 0.5 * n), True)
 
 
 def lambda_series_closed(lam: float) -> ClosedFormValue:

@@ -22,7 +22,6 @@ independent of the product closed forms they are checked against.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import math
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ import mpmath as mp
 import numpy as np
 
 from . import dd
-from .binom import EXACT_INTEGER_LIMIT, binom_scan, is_integer_exponent
+from .binom import binom_scan, is_integer_exponent
 from .exceptions import DivergentSeriesError, DomainError
 from .phase import binomial_phase_power
 
@@ -282,15 +281,24 @@ def _settle(spec: SeriesSpec, method: SummationMethod,
     return conv, None
 
 
+#: The longest terminating row in doubles: C(1029, 514) ~ 2**1023.67 fits, C(1030, 515) ~ 2**1024.67 not.
+_WHOLE_ROW_MAX_N = 1029
+
+
+def _whole_count(n: float) -> int:
+    """The n + 1 terms of a terminating row; DomainError past _WHOLE_ROW_MAX_N, before any array."""
+    if n > _WHOLE_ROW_MAX_N:
+        raise DomainError(f"float64 sum: the terminating row n={n} has coefficients past the doubles"
+                          f" (rows up to n = {_WHOLE_ROW_MAX_N} fit)")
+    return int(n) + 1
+
+
 def _fsums(rows) -> list[float]:
-    """math.fsum of each row of terms; DomainError where a term or a sum is not finite."""
+    """math.fsum of each row of finite terms; DomainError where a sum overflows."""
     try:
-        sums = [math.fsum(row) for row in rows]
-    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
-        sums = [math.inf]
-    if not all(map(math.isfinite, sums)):
-        raise DomainError("float64 sum: a term or the sum of a terminating row is not finite")
-    return sums
+        return [math.fsum(row) for row in rows]
+    except OverflowError:  # an intermediate overflow
+        raise DomainError("float64 sum: the sum of a terminating row overflows a double") from None
 
 
 def _whole_row(spec: SeriesSpec, method: SummationMethod, conv: ConvergenceClass) -> SummationResult:
@@ -299,17 +307,12 @@ def _whole_row(spec: SeriesSpec, method: SummationMethod, conv: ConvergenceClass
     The error is the terms' own: their scans put up to about k units of
     2**-53 on term k, so the residual is count * 2**-53 * sum_k |t_k|.
     """
-    count = int(spec.n) + 1
-    # exact coefficients (n <= 64) cannot overflow; on float ones the
-    # DomainError on what overflows speaks alone
-    floats = spec.n > EXACT_INTEGER_LIMIT
-    with np.errstate(over="ignore", invalid="ignore") if floats else contextlib.nullcontext():
-        ts = (binom_scan(spec.n, count) * trig_values(spec.phi, count, spec.kind)).tolist()
+    count = _whole_count(spec.n)
+    ts = (binom_scan(spec.n, count) * trig_values(spec.phi, count, spec.kind)).tolist()
     total, size = _fsums((ts, map(abs, ts)))
     return SummationResult(total, method, count, count * 2.0 ** -53 * size, conv)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def whole_row_sums(kind: SeriesKind, n: int, rot: np.ndarray) -> list[float]:
     """Whole sums of the terminating row ``n`` at each angle of an angle grid.
 
@@ -318,7 +321,7 @@ def whole_row_sums(kind: SeriesKind, n: int, rot: np.ndarray) -> list[float]:
     angle, so each value has the bits that partial sums, Cesaro means and
     Abel summation report for the row at that angle.
     """
-    count = int(n) + 1
+    count = _whole_count(n)
     part = rot.imag if kind is SeriesKind.SINE else rot.real
     return _fsums((binom_scan(n, count)[:, None] * part[:count]).T.tolist())
 

@@ -240,6 +240,10 @@ def test_table_partial_on_a_summable_only_row_is_nan(capsys):
     code, out, _ = run(capsys, "table", "--kind", "cos", "--n", "1100.5", "--from", "0deg",
                        "--to", "1deg", "--step", "1deg", "--methods", "partial")
     assert (code, out.splitlines()[1:]) == (0, ["0,0,nan,inf", "1,0.017453292519943295,nan,-inf"])
+    # n = 1100, sine: the row is refused, but its closed form at phi = 0 is 0, not inf * 0
+    code, out, _ = run(capsys, "table", "--kind", "sin", "--n", "1100", "--from", "0deg",
+                       "--to", "1deg", "--step", "1deg", "--methods", "partial")
+    assert (code, out.splitlines()[1]) == (0, "0,0,nan,0")
 
 
 def test_sum_abel_far_from_the_unit_scale(capsys):
@@ -292,6 +296,15 @@ def test_sum_of_a_terminating_row_beyond_the_doubles_is_domain_error(capsys, n, 
     code, out, err = run(capsys, "sum", "--kind", "cos", "--n", n, "--phi", phi, "--method", method)
     assert (code, out) == (2, "")
     assert err.startswith("trigsum: domain error:") and "terminating row" in err
+
+
+@pytest.mark.parametrize("n", ["1e15", "1e308"])
+@pytest.mark.parametrize("method", ["abel", "cesaro"])
+def test_sum_of_a_terminating_row_past_n_1029_is_one_domain_error_line(capsys, n, method):
+    # refused before the row is built: 1e15 ended in a MemoryError (exit 1), 1e308 in exit 64
+    code, out, err = run(capsys, "sum", "--kind", "cos", "--n", n, "--phi", "1", "--method", method)
+    assert (code, out) == (2, "")
+    assert err.startswith("trigsum: domain error:") and "terminating row" in err and err.count("\n") == 1
 
 
 def test_sum_beyond_the_doubles_is_domain_error(capsys):

@@ -208,13 +208,17 @@ def test_reduced_neg_int_m3_third_turn_abel_oracle():
 
 #: Angles where the closed form changes branch or loses bits: the half and
 #: one and a half turns and their neighbours (where base**n underflows for
-#: n <= -22), signed zeros, subnormals and the largest grid angles.
+#: n <= -22), signed zeros, subnormals, the largest grid angles, and the
+#: overflow angles: at +-0.0025 and n = 1025 the power alone is past the
+#: doubles but its product with the trigonometric factor is not.
 _EDGE_ANGLES = [math.pi, -math.pi, 3.0 * math.pi, -3.0 * math.pi, math.nextafter(math.pi, 0.0),
                 math.nextafter(-math.pi, 0.0), math.nextafter(3.0 * math.pi, 0.0), 0.0, -0.0,
-                5e-324, -5e-324, 2.0 ** -1030, math.radians(179.0), math.radians(-179.9)]
+                5e-324, -5e-324, 2.0 ** -1030, math.radians(179.0), math.radians(-179.9),
+                0.0025, -0.0025, 2.0 * math.pi + 0.0025, 1.0]
 _SHIPPED_GRIDS = [tuple(map(math.radians, _grid_deg(-179.0, 179.0, step))) for step in (1.0, 0.1)]
 _EXPONENTS = st.one_of(st.integers(-64, 64).map(float), st.just(-0.0),
-                       st.sampled_from([0.5, -0.5, 1.5, -2.5, 7.3, -0.25]))
+                       st.sampled_from([0.5, -0.5, 1.5, -2.5, 7.3, -0.25]),
+                       st.sampled_from([1024.0, 1025.0, -1025.0, 1100.0, 1024.5, -1100.5]))
 
 
 def _closed_hex(kind, n, phis):
@@ -273,6 +277,15 @@ def test_an_underflowed_negative_power_overflows_to_an_infinity():
         exact = float(mp.power(2 * mp.cos(phi / 2), n) * mp.cos(n * phi / 2))
     assert evaluate_closed("cos", 1024.5, 0.002).value == pytest.approx(exact, rel=1e-12)
     assert evaluate_closed("sin", 1024.5, 0.002).value == math.inf
+    # so does an integer n's: 2**1025 cos(0.00125)**1025 cos(1.28125) is about 1.0257e308
+    with mp.workdps(60):
+        exact = float(mp.power(2 * mp.cos(mp.mpf(0.0025) / 2), 1025) * math.cos(0.5 * 1025 * 0.0025))
+    assert exact == pytest.approx(1.0257e308, rel=1e-4)
+    assert evaluate_closed("cos", 1025.0, 0.0025).value == pytest.approx(exact, rel=1e-12)
+    assert evaluate_closed("cos", 1025.0, [1.0, 0.0025]).value[1] == pytest.approx(exact, rel=1e-12)
+    # the sine series at phi = 0 sums to exactly 0, however large its power
+    for n in (1024.0, 1024.5, 1100.0, 1100.5):
+        assert evaluate_closed("sin", n, 0.0) == ClosedFormValue(0.0, True), n
     # at phi = pi/1024.5 the trig factor is cos(pi/2) as rounded, about 6e-17; it is kept, not
     # lost to inf * 6e-17 (cos of a rounded n*phi/2 this close to its zero is the formula's own error)
     phi = math.pi / 1024.5
@@ -290,3 +303,56 @@ def test_an_underflowed_negative_power_overflows_to_an_infinity():
             exact = float(mp.power(2, mp.mpf(n) / 2) * mp.cospi(mp.mpf(n) / 4))
             assert quarter_turn_sum(n).value == pytest.approx(exact, rel=2e-12), n
     assert quarter_turn_sum(2048.5).value == math.inf and quarter_turn_sum(2051.5).value == -math.inf
+
+
+def _boundary_exponents():
+    for n in (*range(1000, 1101, 5), 1024, 1025, 1029):
+        for m in (n, -n, n + 0.5, -n - 0.5):
+            yield float(m)
+
+
+def _boundary_angles(n, rng):
+    """phi = 0, +-0.0025, random angles in the domain and, for integer n, in (pi, 3pi)."""
+    inside = rng.uniform(-math.pi, math.pi, 6).tolist()
+    beyond = rng.uniform(math.pi, 3.0 * math.pi, 6).tolist() if float(n).is_integer() else []
+    return [0.0, -0.0, 0.0025, -0.0025, *inside, *beyond]
+
+
+def _reference(kind, n, phi):
+    """The 60-digit power times the double trigonometric factor, and that factor."""
+    trig = math.sin(0.5 * n * phi) if kind == "sin" else math.cos(0.5 * n * phi)
+    with mp.workdps(60):
+        return mp.power(2 * mp.cos(mp.mpf(phi) / 2), n) * trig, trig
+
+
+@pytest.mark.parametrize("kind", ["cos", "sin"])
+def test_closed_forms_across_the_overflow_boundary(kind):
+    rng = np.random.default_rng(1024)
+    for n in _boundary_exponents():
+        phis = _boundary_angles(n, rng)
+        grid = evaluate_closed(kind, n, phis)
+        for i, phi in enumerate(phis):
+            closed = evaluate_closed(kind, n, phi)
+            assert (closed.value.hex(), closed.domain_ok) == (grid.value[i].hex(), grid.domain_ok[i]), (n, phi)
+            assert closed.domain_ok, (n, phi)
+            exact, trig = _reference(kind, n, phi)
+            if trig == 0.0:
+                assert closed.value == 0.0, (n, phi)  # +-0, not inf * 0
+            elif not math.isfinite(float(exact)):
+                assert closed.value == math.copysign(math.inf, exact), (n, phi)
+            elif abs(exact) >= 2.0 ** -1022:
+                assert closed.value == pytest.approx(float(exact), rel=1e-12), (n, phi)
+            else:  # the power underflows; no relative bound below the normal doubles
+                assert abs(closed.value - float(exact)) <= 2.0 ** -1022, (n, phi)
+
+
+@pytest.mark.parametrize("n", [*_boundary_exponents(), -1.0, -3.0, -64.0, -0.5, 0.5, 2.0])
+def test_a_closed_form_is_nan_exactly_outside_its_domain(n):
+    # the half-turn poles of n < 0, and past (-pi, pi) for fractional n
+    phis = [math.pi, -math.pi, 3.0 * math.pi, math.nextafter(math.pi, 0.0), 0.0, 1.0, 4.0, -7.0, 2.0 ** -1030]
+    for kind in ("cos", "sin"):
+        grid = evaluate_closed(kind, n, phis)
+        for phi, value, ok in zip(phis, grid.value.tolist(), grid.domain_ok.tolist()):
+            closed = evaluate_closed(kind, n, phi)
+            assert math.isnan(closed.value) == (not closed.domain_ok), (kind, n, phi)
+            assert math.isnan(value) == (not ok), (kind, n, phi)

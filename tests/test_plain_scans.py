@@ -392,21 +392,56 @@ def test_non_finite_float64_terms_raise_domain_error(route):
 @pytest.mark.parametrize("route", [partial_sum, cesaro_sum, abel_sum])
 def test_terminating_rows_beyond_the_doubles_raise_domain_error(route, kind, n, phi):
     # n = 1024 sums to 2**1024 at phi = 0; sum_k |t_k| of n = 1029 at phi = 1
-    # overflows; from n = 1030 on coefficients are inf, and inf * sin(0) is nan
+    # overflows; from n = 1030 on the row is refused before it is built
     spec = SeriesSpec(kind, n, phi)
     with pytest.raises(DomainError, match="terminating row"):
         route(spec) if route is abel_sum else route(spec, TERMS)
 
 
+_PAST_THE_BOUND = [1030.0, 2e6, 1e15, 1e308]
+
+
+def _whole_row_routes(n):
+    spec = SeriesSpec("cos", n, 1.0)
+    return [lambda: partial_sum(spec, int(n) + 1), lambda: cesaro_sum(spec, TERMS), lambda: abel_sum(spec),
+            lambda: series.abel_sum_grid("cos", [n], [1.0, 2.0])]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("route", range(4), ids=["partial", "cesaro", "abel", "abel_grid"])
+@pytest.mark.parametrize("n", _PAST_THE_BOUND)
+def test_terminating_rows_past_n_1029_are_refused(route, n):
+    # C(1030, 515) is about 2**1024.67; n = 1e15 and 1e308 once asked numpy for their whole row
+    with pytest.raises(DomainError, match="terminating row"):
+        _whole_row_routes(n)[route]()
+
+
+def test_a_refused_terminating_row_builds_no_array():
+    routes = _whole_row_routes(2e6)
+    tracemalloc.start()
+    try:
+        for route in routes:
+            with pytest.raises(DomainError, match="terminating row"):
+                route()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6  # the row's coefficients alone would take 16 MB
+
+
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(list(SeriesKind)), n=st.integers(0, 64).map(float),
+@given(kind=st.sampled_from(list(SeriesKind)), n=st.integers(0, 1029).map(float),
        phi=st.floats(allow_nan=False, allow_infinity=False))
-def test_terminating_rows_with_exact_coefficients_raise_no_floating_point_error(kind, n, phi):
-    # rows with n <= 64 sum outside np.errstate: their exact coefficients
-    # and the rotations cannot overflow, divide by zero or make nan
+def test_terminating_rows_in_the_doubles_raise_no_floating_point_error(kind, n, phi):
+    # rows up to n = 1029 sum outside np.errstate: their coefficients, terms and
+    # rotations cannot overflow, divide by zero or make nan; only math.fsum may overflow
     spec = SeriesSpec(kind, n, phi)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        values = [partial_sum(spec, TERMS), cesaro_sum(spec, TERMS), abel_sum(spec)]
+        try:
+            values = [partial_sum(spec, TERMS), cesaro_sum(spec, TERMS), abel_sum(spec)]
+        except DomainError as exc:
+            assert "overflows" in str(exc)
+            return
     assert len({res.value for res in values}) == 1
 
 
