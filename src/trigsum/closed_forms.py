@@ -10,30 +10,28 @@ open interval (-pi, pi).
 Also here: the reduced algebraic forms for negative integer exponents,
 the quarter-turn specialization (the alternating even-index coefficient
 sum), its mirror written in a rate parameter lambda, and a small catalog
-of half-integer special values kept as radical recipes that are evaluated
-in extended precision rather than typed in as decimals.
+of half-integer special values: each double stored beside the radical it
+rounds, which a test evaluates at 50 digits to check the stored bits.
+Every closed form is nan exactly outside its domain.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from .binom import is_integer_exponent
+from .exceptions import DomainError
 from .series import SeriesKind, SeriesSpec, _at_half_turn
 
 
 @dataclass(frozen=True)
 class ClosedFormValue:
-    """A closed-form value; outside the form's domain it is nan with domain_ok False."""
+    """A closed-form value: nan exactly outside the form's domain."""
 
     value: float
-    domain_ok: bool
 
 
 def _ipow(base, exponent: int):
@@ -63,10 +61,10 @@ def evaluate_closed(kind: SeriesKind, n: float, phi) -> ClosedFormValue:
     """Product closed form of the ``kind`` series sum_k gen_binom(n,k) trig(k*phi).
 
     Defined for every phi but the half turn for integer n < 0, every phi for
-    integer n >= 0, and phi in (-pi, pi) for fractional n; outside, it
-    returns nan with domain_ok False and raises nothing, and inside it is
-    never nan.  Past the doubles it is a signed infinity.  At a sequence of
-    angles both fields are arrays, each entry with the bits of its one-angle call.
+    integer n >= 0, and phi in (-pi, pi) for fractional n; outside, it is nan
+    and raises nothing.  Inside, it is never nan: a signed infinity past the
+    doubles, and a DomainError where |n*phi/2| >= 2**53 (never for fractional
+    n).  At a sequence of angles, each entry is what its one-angle call gives.
     """
     sine = kind == SeriesKind.SINE  # two comparisons cost less than a SeriesKind call
     if not sine and kind != SeriesKind.COSINE:
@@ -75,20 +73,22 @@ def evaluate_closed(kind: SeriesKind, n: float, phi) -> ClosedFormValue:
     if hasattr(phi, "__len__") and np.ndim(phi):  # a sequence of angles
         phis = np.asarray(phi, dtype=float).tolist()
         if not integer:  # np.exp and np.log round otherwise than math's
-            parts = [evaluate_closed(kind, n, x) for x in phis]
-            return ClosedFormValue(np.array([p.value for p in parts]),
-                                   np.array([p.domain_ok for p in parts], dtype=bool))
+            return ClosedFormValue(np.array([evaluate_closed(kind, n, x).value for x in phis]))
         ok = np.array([n >= 0 or not _at_half_turn(x) for x in phis], dtype=bool)
         base = np.array([2.0 * math.cos(0.5 * x) for x in phis])
-        trig = np.array([math.sin(0.5 * n * x) if sine else math.cos(0.5 * n * x) for x in phis])
         with np.errstate(all="ignore"):  # quiet, as one angle is: overflow, and 1 / +-0 = +-inf
+            half = 0.5 * n * np.array(phis)
+            known = np.abs(half) < 2.0 ** 53  # the one-angle call below refuses the other angles
+            trig = np.array([math.sin(h) if sine else math.cos(h) for h in np.where(known, half, 0.0).tolist()])
             value = np.where(ok, _ipow(base, int(n)) * trig, math.nan)
-        for i in np.flatnonzero(ok & ~np.isfinite(value)).tolist():  # past the doubles
+        for i in np.flatnonzero(ok & ~(np.isfinite(value) & known)).tolist():  # refused, or past the doubles
             value[i] = evaluate_closed(kind, n, phis[i]).value
-        return ClosedFormValue(value, ok)
+        return ClosedFormValue(value)
     if (n < 0 and _at_half_turn(phi)) if integer else not -math.pi < phi < math.pi:
-        return ClosedFormValue(math.nan, False)
+        return ClosedFormValue(math.nan)
     half = 0.5 * n * phi
+    if not abs(half) < 2.0 ** 53:  # rounded, half is off by up to a radian: not even trig's sign is known
+        raise DomainError(f"closed form at n={n!r}, phi={phi!r}: its angle n*phi/2 = {half!r} reaches 2**53")
     trig = math.sin(half) if sine else math.cos(half)
     base = 2.0 * math.cos(0.5 * phi)  # never 0 at a double phi, and above 0 inside (-pi, pi)
     try:
@@ -97,7 +97,7 @@ def evaluate_closed(kind: SeriesKind, n: float, phi) -> ClosedFormValue:
         value = math.inf
     if not math.isfinite(value):  # the power alone is past the doubles; times trig the value may not be
         value = _times_power(trig if base > 0.0 or n % 2 == 0 else -trig, n * math.log2(abs(base)))
-    return ClosedFormValue(value, True)
+    return ClosedFormValue(value)
 
 
 def reduced_neg_int(m: int, phi: float) -> ClosedFormValue:
@@ -111,9 +111,8 @@ def reduced_neg_int(m: int, phi: float) -> ClosedFormValue:
     if not 1 <= m <= 7:
         raise ValueError("m must be in 1..7")
     if _at_half_turn(phi):
-        return ClosedFormValue(math.nan, False)
-    value = math.cos(0.5 * m * phi) / (2.0 ** m * math.cos(0.5 * phi) ** m)
-    return ClosedFormValue(value, True)
+        return ClosedFormValue(math.nan)
+    return ClosedFormValue(math.cos(0.5 * m * phi) / (2.0 ** m * math.cos(0.5 * phi) ** m))
 
 
 #: The sign of cos(n * 45 degrees) at n mod 8; times 2**(n // 2), it gives integer n's sum.
@@ -128,12 +127,12 @@ def quarter_turn_sum(n: float) -> ClosedFormValue:
     integer n that is exactly 0 or +-2**(n // 2).
     """
     if is_integer_exponent(n):
-        return ClosedFormValue(_times_power(_EIGHTH_TURN_SIGNS[int(n) % 8], int(n) // 2), True)
+        return ClosedFormValue(_times_power(_EIGHTH_TURN_SIGNS[int(n) % 8], int(n) // 2))
     cosine = math.cos(0.25 * n * math.pi)
     try:
-        return ClosedFormValue(2.0 ** (0.5 * n) * cosine, True)
+        return ClosedFormValue(2.0 ** (0.5 * n) * cosine)
     except OverflowError:  # 2**(n/2) alone is past the doubles; times the cosine it may not be
-        return ClosedFormValue(_times_power(cosine, 0.5 * n), True)
+        return ClosedFormValue(_times_power(cosine, 0.5 * n))
 
 
 def lambda_series_closed(lam: float) -> ClosedFormValue:
@@ -147,44 +146,37 @@ def lambda_series_closed(lam: float) -> ClosedFormValue:
 
 
 # ----------------------------------------------------------------------
-# Half-integer special values, kept as radical recipes
+# Half-integer special values, each stored beside its radical
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A cosine series value: its radical ``description`` rounded to a double, or None if divergent."""
+
     spec: SeriesSpec
-    recipe: Callable[[], mp.mpf] | None
     description: str
     value: float | None
-    divergent: bool = False
+
+    @property
+    def divergent(self) -> bool:
+        return self.value is None
 
 
-def _entry(n: float, phi: float, recipe: Callable[[], mp.mpf] | None, description: str) -> CatalogEntry:
-    value = None
-    if recipe is not None:
-        with mp.workdps(50):
-            value = float(recipe())
-    return CatalogEntry(SeriesSpec(SeriesKind.COSINE, n, phi), recipe, description,
-                        value, divergent=recipe is None)
+_CATALOG = tuple(CatalogEntry(SeriesSpec(SeriesKind.COSINE, n, phi), text, value) for n, phi, text, value in (
+    (0.5, 0.0, "sqrt(2)", float.fromhex("0x1.6a09e667f3bcdp+0")),
+    (0.5, math.pi, "0", 0.0),
+    (0.5, 0.5 * math.pi, "sqrt((1+sqrt(2))/2)", float.fromhex("0x1.19435caffa9f9p+0")),
+    (0.5, math.pi / 3.0, "(1/2)*sqrt(3+2*sqrt(3))", float.fromhex("0x1.456f524181a36p+0")),
+    (-0.5, 0.0, "1/sqrt(2)", float.fromhex("0x1.6a09e667f3bcdp-1")),
+    (-0.5, 0.5 * math.pi, "(1/2)*sqrt(1+sqrt(2))", float.fromhex("0x1.8dc42193d5c03p-1")),
+    (-0.5, math.pi, "divergent", None)))
 
 
-@lru_cache(maxsize=1)
 def special_value_catalog() -> tuple[CatalogEntry, ...]:
     """Half-integer cosine series values at distinguished angles.
 
-    Every decimal comes from evaluating the stored radical recipe at 50
-    digits; nothing is typed in by hand.  The half-turn entry for the
-    exponent -1/2 has no value: that series diverges.
+    Each value is its radical description rounded to a double, as a test
+    checks at 50 digits.  The entry for n = -1/2 at the half turn has no
+    value: that series diverges.
     """
-    return (
-        _entry(0.5, 0.0, lambda: mp.sqrt(2), "sqrt(2)"),
-        _entry(0.5, math.pi, lambda: mp.mpf(0), "0"),
-        _entry(0.5, 0.5 * math.pi, lambda: mp.sqrt((1 + mp.sqrt(2)) / 2),
-               "sqrt((1+sqrt(2))/2)"),
-        _entry(0.5, math.pi / 3.0, lambda: mp.sqrt(3 + 2 * mp.sqrt(3)) / 2,
-               "(1/2)*sqrt(3+2*sqrt(3))"),
-        _entry(-0.5, 0.0, lambda: mp.sqrt(mp.mpf(1) / 2), "1/sqrt(2)"),
-        _entry(-0.5, 0.5 * math.pi, lambda: mp.sqrt(1 + mp.sqrt(2)) / 2,
-               "(1/2)*sqrt(1+sqrt(2))"),
-        _entry(-0.5, math.pi, None, "divergent"),
-    )
+    return _CATALOG

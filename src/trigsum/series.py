@@ -696,6 +696,7 @@ def _dd_scan_axis0(op, h: np.ndarray, l: np.ndarray):
     return h, l
 
 
+@np.errstate(over="ignore", invalid="ignore")  # terms past the doubles: no order agrees, so they are refused
 def _levin_samples(kind: SeriesKind, n: float, phis: np.ndarray, radii, trig=None):
     """Abel radial samples of the complex series by Levin's u transform.
 

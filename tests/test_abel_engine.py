@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -379,6 +380,19 @@ def test_abel_sum_and_the_grid_are_one_engine_at_n_le_minus_2(kind, radii):
         assert grid[n][2] == max(p.terms_used for p in points)
     # the pin reaches the second Levin stage
     assert max(used for _, _, used in grid.values()) > series._LEVIN_STAGES[0][-1]
+
+
+@pytest.mark.parametrize("kind", list(SeriesKind))
+@pytest.mark.parametrize("n", [-1e8, -1e9, -1.7e308])
+def test_terms_past_the_doubles_are_refused_without_a_warning(kind, n):
+    # from n = -1e8 the double-double terms overflow; the orders then never agree
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for phi in (1.0, 2.0, 0.3):
+            with pytest.raises(DivergentSeriesError):
+                abel_sum(SeriesSpec(kind, n, phi))
+        with pytest.raises(DivergentSeriesError):
+            series.abel_sum_grid(kind, [n], [1.0, 2.0, 0.3])
 
 
 def test_a_grid_with_one_diverging_exponent_is_refused():

@@ -246,6 +246,20 @@ def test_table_partial_on_a_summable_only_row_is_nan(capsys):
     assert (code, out.splitlines()[1]) == (0, "0,0,nan,0")
 
 
+def test_a_closed_form_a_double_cannot_place_is_a_domain_error(capsys):
+    # at phi = 7, n*phi/2 is inf: the table is refused whole, on one line, with no row printed
+    code, out, err = run(capsys, "table", "--kind", "cos", "--n", "1e308", "--from", "0",
+                         "--to", "7", "--step", "7", "--methods", "partial")
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"trigsum: domain error: .*phi=7\.0.*\n", err)
+
+
+def test_sum_abel_past_the_doubles_exits_three_on_one_line(capsys):
+    code, out, err = run(capsys, "sum", "--kind", "cos", "--n=-1e9", "--phi", "1", "--method", "abel")
+    assert (code, out) == (3, "")
+    assert re.fullmatch(r"trigsum: divergent: .*\n", err)
+
+
 def test_sum_abel_far_from_the_unit_scale(capsys):
     # n = -20: the radial samples cancel terms up to 1e18 down to 1e-5
     code, out, _ = run(capsys, "sum", "--kind", "cos", "--n", "-20", "--phi", "1",

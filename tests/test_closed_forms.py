@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -17,6 +18,7 @@ from trigsum import (
     reduced_neg_int,
     special_value_catalog,
 )
+from trigsum.exceptions import DomainError
 from trigsum.suites import _grid_deg
 
 GRID = [math.radians(d) for d in range(-179, 180)]
@@ -58,7 +60,7 @@ def test_integer_exponent_valid_on_all_angles():
 
 
 def _undefined(closed) -> bool:
-    return math.isnan(closed.value) and closed.domain_ok is False
+    return math.isnan(closed.value)
 
 
 def test_fractional_exponent_domain_errors():
@@ -76,11 +78,8 @@ def test_negative_integer_pole_errors():
 
 
 def test_evaluate_closed_flags_domain_exits():
-    bad = evaluate_closed(SeriesKind.COSINE, 0.5, math.pi)
-    assert not bad.domain_ok
-    assert math.isnan(bad.value)
-    good = evaluate_closed(SeriesKind.COSINE, 0.5, 1.0)
-    assert good.domain_ok
+    assert math.isnan(evaluate_closed(SeriesKind.COSINE, 0.5, math.pi).value)
+    assert not math.isnan(evaluate_closed(SeriesKind.COSINE, 0.5, 1.0).value)
 
 
 @pytest.mark.parametrize("phi", [1.0, [1.0, 2.0]])
@@ -101,7 +100,7 @@ def test_reduced_form_special_points():
     # m = 1 has no branch of its own: cos(phi/2) / (2 cos(phi/2)) is exactly 1/2
     near_half_turn = [s * math.pi * (1.0 - 2.0 ** -k) for k in range(1, 53) for s in (1.0, -1.0)]
     for phi in [math.radians(0.1 * d) for d in range(-1799, 1800)] + near_half_turn:
-        assert reduced_neg_int(1, phi) == ClosedFormValue(0.5, True), phi
+        assert reduced_neg_int(1, phi) == ClosedFormValue(0.5), phi
     assert reduced_neg_int(2, 0.5 * math.pi).value == pytest.approx(0.0, abs=1e-16)
     # the two published shapes of the m=3 reduction agree, and both vanish
     # at a third of a turn
@@ -152,7 +151,7 @@ def test_lambda_series_values():
 def test_lambda_mirrors_quarter_turn():
     for lam in [*range(-2100, 2200), 0.5, 1.25, 3.75, -2048.5]:
         mirror, quarter = lambda_series_closed(lam), quarter_turn_sum(-lam)
-        assert (mirror.value.hex(), mirror.domain_ok) == (quarter.value.hex(), quarter.domain_ok), lam
+        assert mirror.value.hex() == quarter.value.hex(), lam
 
 
 def test_pythagorean_closure_sample():
@@ -174,11 +173,18 @@ def test_catalog_structure():
     assert len(divergent) == 1
     assert divergent[0].spec.n == -0.5 and divergent[0].spec.phi == math.pi
     assert divergent[0].value is None
-    # every finite entry carries a recipe and a derived decimal
     for e in cat:
         if not e.divergent:
-            assert e.recipe is not None
             assert math.isfinite(e.value)
+
+
+def test_catalog_values_are_their_radicals_rounded():
+    # the description is the recipe: evaluated at 50 digits, it gives the stored bits
+    for e in special_value_catalog():
+        if not e.divergent:
+            with mp.workdps(50):
+                exact = eval(e.description, {"__builtins__": {}}, {"sqrt": mp.sqrt})
+            assert e.value.hex() == float(exact).hex(), e.description
 
 
 def test_catalog_values_match_radical_algebra():
@@ -222,14 +228,13 @@ _EXPONENTS = st.one_of(st.integers(-64, 64).map(float), st.just(-0.0),
 
 
 def _closed_hex(kind, n, phis):
-    alone = [evaluate_closed(kind, n, phi) for phi in phis]
-    return [(closed.value.hex(), closed.domain_ok) for closed in alone]
+    return [evaluate_closed(kind, n, phi).value.hex() for phi in phis]
 
 
 def _grid_hex(kind, n, phis):
     grid = evaluate_closed(kind, n, phis)
-    assert grid.value.shape == grid.domain_ok.shape == (len(phis),)
-    return [(v.hex(), ok) for v, ok in zip(grid.value.tolist(), grid.domain_ok.tolist())]
+    assert grid.value.shape == (len(phis),)
+    return [v.hex() for v in grid.value.tolist()]
 
 
 @settings(max_examples=300, deadline=None)
@@ -252,10 +257,9 @@ def test_a_grid_leaves_its_angles_and_takes_any_sequence():
     phis = np.array([1.0, math.pi, -2.0])
     for seq in (phis, phis.tolist(), tuple(phis.tolist())):
         grid = evaluate_closed("cos", -3.0, seq)
-        assert grid.domain_ok.tolist() == [True, False, True] and math.isnan(grid.value[1])
+        assert np.isnan(grid.value).tolist() == [False, True, False]
     assert phis.tolist() == [1.0, math.pi, -2.0]
-    empty = evaluate_closed("sin", 4.0, [])
-    assert empty.value.shape == empty.domain_ok.shape == (0,)
+    assert evaluate_closed("sin", 4.0, []).value.shape == (0,)
     for one in (np.array(1.0), np.float32(1.0), np.int64(1)):  # one angle, not a sequence
         assert evaluate_closed("cos", -3.0, one) == evaluate_closed("cos", -3.0, float(one))
 
@@ -263,11 +267,10 @@ def test_a_grid_leaves_its_angles_and_takes_any_sequence():
 def test_an_underflowed_negative_power_overflows_to_an_infinity():
     # at n = -64 next to the half turn, (2 cos(phi/2))**64 underflows to 0
     near = math.nextafter(math.pi, 0.0)
-    closed = evaluate_closed("cos", -64.0, near)
-    assert closed.domain_ok and closed.value == math.inf
+    assert evaluate_closed("cos", -64.0, near).value == math.inf
     assert evaluate_closed("cos", -63.0, math.nextafter(3.0 * math.pi, 0.0)).value in (math.inf, -math.inf)
     # a fractional exponent past the doubles gives the signed infinity an integer one does
-    assert evaluate_closed("cos", 1100.5, 0.0) == evaluate_closed("cos", 1100.0, 0.0) == ClosedFormValue(math.inf, True)
+    assert evaluate_closed("cos", 1100.5, 0.0) == evaluate_closed("cos", 1100.0, 0.0) == ClosedFormValue(math.inf)
     assert evaluate_closed("cos", 1100.5, math.radians(1.0)).value == -math.inf  # cos(1100.5 * 0.5 deg) < 0
     assert evaluate_closed("sin", 1100.5, [0.2, 0.3]).value.tolist() == [-math.inf, math.inf]
     # where only the power passes the doubles, the product with the trig factor stays finite:
@@ -285,7 +288,7 @@ def test_an_underflowed_negative_power_overflows_to_an_infinity():
     assert evaluate_closed("cos", 1025.0, [1.0, 0.0025]).value[1] == pytest.approx(exact, rel=1e-12)
     # the sine series at phi = 0 sums to exactly 0, however large its power
     for n in (1024.0, 1024.5, 1100.0, 1100.5):
-        assert evaluate_closed("sin", n, 0.0) == ClosedFormValue(0.0, True), n
+        assert evaluate_closed("sin", n, 0.0) == ClosedFormValue(0.0), n
     # at phi = pi/1024.5 the trig factor is cos(pi/2) as rounded, about 6e-17; it is kept, not
     # lost to inf * 6e-17 (cos of a rounded n*phi/2 this close to its zero is the formula's own error)
     phi = math.pi / 1024.5
@@ -303,6 +306,35 @@ def test_an_underflowed_negative_power_overflows_to_an_infinity():
             exact = float(mp.power(2, mp.mpf(n) / 2) * mp.cospi(mp.mpf(n) / 4))
             assert quarter_turn_sum(n).value == pytest.approx(exact, rel=2e-12), n
     assert quarter_turn_sum(2048.5).value == math.inf and quarter_turn_sum(2051.5).value == -math.inf
+
+
+def test_an_angle_a_double_cannot_place_is_refused_inside_the_domain():
+    # past |n*phi/2| = 2**53 the rounded angle is off by up to a radian: a +-inf at n = 1e17
+    # would take its sign from that noise, and at n = 1e308, phi = 7 math.cos(inf) raises ValueError
+    for kind, n, phi in (("cos", 1e308, 7.0), ("cos", 1e17, 1.0), ("sin", 1e17, 7.0), ("cos", 2.0 ** 53, 2.0),
+                         ("sin", -2.0 ** 60, -0.5), ("cos", -1e17, math.nextafter(math.pi, 0.0))):
+        with pytest.raises(DomainError, match=rf"phi={re.escape(repr(phi))}"):
+            evaluate_closed(kind, n, phi)
+    # just below the bound it is a value, and outside the domain it stays nan
+    assert not math.isnan(evaluate_closed("cos", 2.0 ** 53, math.nextafter(2.0, 0.0)).value)
+    for phi in (math.pi, -math.pi, 3.0 * math.pi):
+        assert math.isnan(evaluate_closed("cos", -1e17, phi).value)
+
+
+def test_a_grid_refuses_as_its_first_refused_angle_does():
+    # phi = 0 and 1e-300 are in reach (at 1e-300 only past the doubles); the half turn is
+    # refused for n > 0 and nan for n < 0, so there the grid is refused at phi = 1; at
+    # n = +-1e308, n*phi/2 is inf at phi = 7, where math.cos would raise ValueError
+    phis = [0.0, 1e-300, math.pi, 1.0, 7.0]
+    for n, first in ((1e17, math.pi), (-1e17, 1.0), (1e308, math.pi), (-1e308, 1.0)):
+        for kind in ("cos", "sin"):
+            with pytest.raises(DomainError) as alone:
+                evaluate_closed(kind, n, first)
+            with pytest.raises(DomainError) as grid:
+                evaluate_closed(kind, n, phis)
+            assert str(grid.value) == str(alone.value)
+    assert np.isnan(evaluate_closed("cos", -1e17, [math.pi, -math.pi]).value).all()
+    assert evaluate_closed("cos", -1e17, [math.pi, 0.0]).value[1] == 0.0
 
 
 def _boundary_exponents():
@@ -333,8 +365,8 @@ def test_closed_forms_across_the_overflow_boundary(kind):
         grid = evaluate_closed(kind, n, phis)
         for i, phi in enumerate(phis):
             closed = evaluate_closed(kind, n, phi)
-            assert (closed.value.hex(), closed.domain_ok) == (grid.value[i].hex(), grid.domain_ok[i]), (n, phi)
-            assert closed.domain_ok, (n, phi)
+            assert closed.value.hex() == grid.value[i].hex(), (n, phi)
+            assert not math.isnan(closed.value), (n, phi)
             exact, trig = _reference(kind, n, phi)
             if trig == 0.0:
                 assert closed.value == 0.0, (n, phi)  # +-0, not inf * 0
@@ -348,11 +380,14 @@ def test_closed_forms_across_the_overflow_boundary(kind):
 
 @pytest.mark.parametrize("n", [*_boundary_exponents(), -1.0, -3.0, -64.0, -0.5, 0.5, 2.0])
 def test_a_closed_form_is_nan_exactly_outside_its_domain(n):
-    # the half-turn poles of n < 0, and past (-pi, pi) for fractional n
     phis = [math.pi, -math.pi, 3.0 * math.pi, math.nextafter(math.pi, 0.0), 0.0, 1.0, 4.0, -7.0, 2.0 ** -1030]
+    # the domain, written out: integer n < 0 leaves out the half turns (odd multiples of pi),
+    # integer n >= 0 nothing, and fractional n everything outside (-pi, pi)
+    if not n.is_integer():
+        outside = [not -math.pi < phi < math.pi for phi in phis]
+    else:
+        outside = [n < 0 and phi in (math.pi, -math.pi, 3.0 * math.pi) for phi in phis]
     for kind in ("cos", "sin"):
         grid = evaluate_closed(kind, n, phis)
-        for phi, value, ok in zip(phis, grid.value.tolist(), grid.domain_ok.tolist()):
-            closed = evaluate_closed(kind, n, phi)
-            assert math.isnan(closed.value) == (not closed.domain_ok), (kind, n, phi)
-            assert math.isnan(value) == (not ok), (kind, n, phi)
+        assert np.isnan(grid.value).tolist() == outside, (kind, n)
+        assert [math.isnan(evaluate_closed(kind, n, phi).value) for phi in phis] == outside, (kind, n)
