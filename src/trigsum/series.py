@@ -22,6 +22,7 @@ independent of the product closed forms they are checked against.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ import mpmath as mp
 import numpy as np
 
 from . import dd
-from .binom import binom_scan, is_integer_exponent
+from .binom import EXACT_INTEGER_LIMIT, binom_scan, is_integer_exponent
 from .exceptions import DivergentSeriesError, DomainError
 from .phase import binomial_phase_power
 
@@ -285,45 +286,23 @@ def _settle(spec: SeriesSpec, method: SummationMethod,
 _WHOLE_ROW_MAX_N = 1029
 
 
-def _whole_count(n: float) -> int:
-    """The n + 1 terms of a terminating row; DomainError past _WHOLE_ROW_MAX_N, before any array."""
-    if n > _WHOLE_ROW_MAX_N:
-        raise DomainError(f"float64 sum: the terminating row n={n} has coefficients past the doubles"
-                          f" (rows up to n = {_WHOLE_ROW_MAX_N} fit)")
-    return int(n) + 1
-
-
-def _fsums(rows) -> list[float]:
-    """math.fsum of each row of finite terms; DomainError where a sum overflows."""
-    try:
-        return [math.fsum(row) for row in rows]
-    except OverflowError:  # an intermediate overflow
-        raise DomainError("float64 sum: the sum of a terminating row overflows a double") from None
-
-
 def _whole_row(spec: SeriesSpec, method: SummationMethod, conv: ConvergenceClass) -> SummationResult:
     """A terminating row summed through k = n, exactly rounded by math.fsum.
 
     The error is the terms' own: their scans put up to about k units of
     2**-53 on term k, so the residual is count * 2**-53 * sum_k |t_k|.
+    DomainError past _WHOLE_ROW_MAX_N, before any array, or where a sum overflows.
     """
-    count = _whole_count(spec.n)
+    if spec.n > _WHOLE_ROW_MAX_N:
+        raise DomainError(f"float64 sum: the terminating row n={spec.n} has coefficients past the doubles"
+                          f" (rows up to n = {_WHOLE_ROW_MAX_N} fit)")
+    count = int(spec.n) + 1
     ts = (binom_scan(spec.n, count) * trig_values(spec.phi, count, spec.kind)).tolist()
-    total, size = _fsums((ts, map(abs, ts)))
+    try:
+        total, size = math.fsum(ts), math.fsum(map(abs, ts))
+    except OverflowError:  # an intermediate overflow
+        raise DomainError("float64 sum: the sum of a terminating row overflows a double") from None
     return SummationResult(total, method, count, count * 2.0 ** -53 * size, conv)
-
-
-def whole_row_sums(kind: SeriesKind, n: int, rot: np.ndarray) -> list[float]:
-    """Whole sums of the terminating row ``n`` at each angle of an angle grid.
-
-    ``rot`` is the grid's ``rotations`` table, with at least n + 1 rows.
-    Each column of terms is summed by math.fsum as ``_whole_row`` sums one
-    angle, so each value has the bits that partial sums, Cesaro means and
-    Abel summation report for the row at that angle.
-    """
-    count = _whole_count(n)
-    part = rot.imag if kind is SeriesKind.SINE else rot.real
-    return _fsums((binom_scan(n, count)[:, None] * part[:count]).T.tolist())
 
 
 def partial_sum(spec: SeriesSpec, terms: int) -> SummationResult:
@@ -570,8 +549,51 @@ def evaluate(spec: SeriesSpec, method: SummationMethod, terms: int | None = None
     return SummationResult(value, method, int(spec.n) + 1, 0.0, classify(spec))
 
 
+def evaluate_grid(rows, phis: tuple, method: SummationMethod, radii=None) -> list[np.ndarray]:
+    """``evaluate`` of each (kind, n) row of ``rows`` at the angles ``phis``:
+    one array per row, nan exactly where ``evaluate`` refuses the point.
+
+    The rows share one ``binomial_phase_power`` call per exponent (phase),
+    one ``rotations`` table (terminating partial-sum rows with n <= 64, each
+    summed whole as ``_whole_row`` sums one angle) or one ``abel_sum_grid``
+    call per kind; other rows, and those the shared call refuses, take
+    ``evaluate`` one angle at a time.  Each value has its one-angle bits but
+    on the Abel rows with n > -2 that the grid sums: it takes Levin samples
+    where one angle takes float64 ones (6.7e-13 apart at most on the suites'
+    rows; ROADMAP item 2 makes them one route).
+    """
+    method = SummationMethod(method)
+    rows = [(SeriesKind(kind), float(n)) for kind, n in rows]
+    grid = {}  # (kind, n): the values of a row summed on the grid
+    if method is SummationMethod.PHASE:
+        for n in dict.fromkeys(n for _, n in rows):
+            with contextlib.suppress(ValueError):  # integer n in 0..64 only
+                grid[SeriesKind.COSINE, n], grid[SeriesKind.SINE, n] = binomial_phase_power(n, phis)
+    elif method is SummationMethod.ABEL:
+        for kind in dict.fromkeys(kind for kind, _ in rows):
+            with contextlib.suppress(DivergentSeriesError, DomainError):  # one refused point refuses the grid
+                sums = abel_sum_grid(kind, [n for k, n in rows if k is kind], phis, radii)
+                grid.update(((kind, n), values) for n, (values, _, _) in sums.items())
+    elif method is SummationMethod.PARTIAL:
+        whole = [(kind, n) for kind, n in rows if is_integer_exponent(n) and 0 <= n <= EXACT_INTEGER_LIMIT]
+        rot = rotations(phis, EXACT_INTEGER_LIMIT + 1) if whole else None
+        for kind, n in whole:
+            part = (rot.imag if kind is SeriesKind.SINE else rot.real)[:int(n) + 1]
+            terms = binom_scan(n, int(n) + 1)[:, None] * part  # one column per angle
+            grid[kind, n] = np.array([math.fsum(col) for col in terms.T.tolist()])
+    return [grid[row] if row in grid else np.array([_value_or_nan(SeriesSpec(*row, phi), method, radii)
+                                                    for phi in phis]) for row in rows]
+
+
+def _value_or_nan(spec: SeriesSpec, method: SummationMethod, radii) -> float:
+    try:
+        return evaluate(spec, method, radii=radii).value
+    except (DivergentSeriesError, DomainError):
+        return math.nan
+
+
 # ----------------------------------------------------------------------
-# Double-double Abel engine: one angle (abel_sum) or an angle grid (suites)
+# Double-double Abel engine: one angle (abel_sum) or an angle grid (evaluate_grid)
 # ----------------------------------------------------------------------
 
 def _dd_unit_power(phis, k: int):
@@ -772,7 +794,7 @@ def abel_sum_grid(kind: SeriesKind, ns, phis, radii=None) -> dict[float, tuple[n
 
     Levin samples in double-double (see ``_levin_samples``), with one trig
     table and one Neville tableau shared across exponents and radii; this
-    is the vectorized back end the verification suites use.  Returns, per
+    is the vectorized back end of ``evaluate_grid``.  Returns, per
     exponent, the array of values aligned with ``phis``, the per-angle
     residual estimates, and the largest Levin order or row length used.
     ``_settle`` judges every point: the points it settles take its value and

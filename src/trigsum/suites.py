@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .binom import EXACT_INTEGER_LIMIT, binom_prefix, is_integer_exponent
+from .binom import binom_prefix, is_integer_exponent
 from .closed_forms import (
     evaluate_closed,
     quarter_turn_sum,
@@ -30,16 +30,14 @@ from .closed_forms import (
     special_value_catalog,
 )
 from .exceptions import DivergentSeriesError, DomainError
-from .phase import binomial_phase_power, series_at_phase
+from .phase import series_at_phase
 from .series import (
     SeriesKind,
     SeriesSpec,
     SummationMethod,
     _validate_radii,
-    abel_sum_grid,
     evaluate,
-    rotations,
-    whole_row_sums,
+    evaluate_grid,
 )
 
 #: Radial schedule for the negative-integer sweep.  The closed forms grow
@@ -218,15 +216,15 @@ def build_suite(name: str, grid_step_deg: float | None = None) -> list[SuiteCase
     if grid_step_deg is not None and 360.0 / grid_step_deg > MAX_GRID_ANGLES:
         raise ValueError(f"a grid step of {grid_step_deg} degrees gives more than {MAX_GRID_ANGLES}"
                          f" angles per turn; the finest step is {360.0 / MAX_GRID_ANGLES} degrees")
-    if name == "all":
-        cases = []
-        for build in _BUILDERS.values():
-            cases.extend(build(grid_step_deg))
-        return cases
-    try:
-        return _BUILDERS[name](grid_step_deg)
-    except KeyError:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}") from None
+    if name not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    cases = []
+    for suite in _BUILDERS if name == "all" else (name,):
+        built = _BUILDERS[suite](grid_step_deg)
+        if not built:  # a swept suite whose grid the step leaves empty
+            raise ValueError(f"a grid step of {grid_step_deg} degrees leaves suite {suite!r} without an angle")
+        cases.extend(built)
+    return cases
 
 
 # ----------------------------------------------------------------------
@@ -240,65 +238,14 @@ def _row_key(case: SuiteCase) -> tuple:
             case.radii, case.expect_divergent, math.copysign(1.0, case.spec.n))
 
 
-def _abel_grid(rows: dict[tuple, tuple], kind: SeriesKind, radii, phis: tuple) -> dict | None:
-    """{n: values} of every Abel row of ``kind`` and ``radii`` on the angles
-    ``phis``, from one abel_sum_grid call; None when the engine refuses the grid."""
-    ns = [key[1] for key, row in rows.items() if (key[0], key[2], key[4], key[5], row)
-          == (kind, SummationMethod.ABEL, radii, False, phis)]
-    try:
-        return {n: v for n, (v, _res, _used) in abel_sum_grid(kind, ns, list(phis), radii).items()}
-    except (DivergentSeriesError, DomainError):
-        return None
-
-
-class _Tables:
-    """What the rows of one run share, built once per grid (a tuple of angles):
-    one phase evaluation per exponent, one rotation table, and one
-    abel_sum_grid call per kind and radii.  A row's angles are its own
-    cases', so its values do not depend on what other suites run beside it.
-    """
-
-    def __init__(self, rows: dict[tuple, tuple]):
-        self.rotations = functools.cache(lambda phis: rotations(phis, EXACT_INTEGER_LIMIT + 1))
-        self.phase_power = functools.cache(binomial_phase_power)
-        self.phase_series = functools.cache(
-            lambda n, phis: series_at_phase(binom_prefix(n, int(n) + 1), phis))
-        self.abel = functools.cache(lambda kind, radii, phis: _abel_grid(rows, kind, radii, phis))
-
-
-def _computed_row(key: tuple, phis: tuple, tables: _Tables):
-    kind, n, method, _source, radii, *_ = key
-    if method is SummationMethod.PHASE:
-        try:
-            return tables.phase_power(n, phis)[kind is SeriesKind.SINE]
-        except ValueError:  # the phase path takes integer n in 0..64 only
-            return [math.nan] * len(phis)
-    if method is SummationMethod.PARTIAL and is_integer_exponent(n) and 0 <= n <= EXACT_INTEGER_LIMIT:
-        # a terminating row: its partial sum is the whole row
-        return whole_row_sums(kind, n, tables.rotations(phis))
-    if method is SummationMethod.ABEL and tables.abel(kind, radii, phis) is not None:
-        return tables.abel(kind, radii, phis)[n]
-    if method is SummationMethod.REDUCED:
-        return [reduced_neg_int(int(-n), phi).value for phi in phis]
-    if method is SummationMethod.CLOSED:
-        return [quarter_turn_sum(n).value] * len(phis)
-    out = []  # one angle at a time, where a refused point fails alone
-    for phi in phis:
-        try:
-            out.append(evaluate(SeriesSpec(kind, n, phi), method, radii=radii).value)
-        except (DivergentSeriesError, DomainError):
-            out.append(math.nan)
-    return out
-
-
-def _expected_row(key: tuple, phis: tuple, row: list[SuiteCase], tables: _Tables):
+def _expected_row(key: tuple, phis: tuple, row: list[SuiteCase], phase_series):
     kind, n, _method, source, *_ = key
     if source is ExpectedSource.LITERAL:
         return [float(case.expected_literal) for case in row]
     if source is ExpectedSource.CLOSED_FORM:
         return evaluate_closed(kind, n, phis).value
     # the row polynomial by one Horner pass at p: its real and imaginary parts
-    return tables.phase_series(n, phis)[kind is SeriesKind.SINE]
+    return phase_series(n, phis)[kind is SeriesKind.SINE]
 
 
 def _judge_refusal(case: SuiteCase) -> CaseResult:
@@ -317,8 +264,12 @@ def run_cases(cases: list[SuiteCase], tolerance_override: float | None = None) -
     """Judge every case, in order.
 
     The cases are grouped into rows (``_row_key``), each row is evaluated
-    once over the angles of its cases, and then each case is judged; every
-    value has the bits of its case evaluated alone.
+    once over the angles of its cases (the summed rows of one method, radii
+    and angle tuple in one ``evaluate_grid`` call), and then each case is
+    judged.  A row's angles are its own cases', so its values do not depend
+    on what other suites run beside it.  Every value has the bits of its
+    case evaluated alone, but on the Abel rows with n > -2 that
+    ``evaluate_grid`` sums on a grid.
     """
     if tolerance_override is not None:
         cases = [replace(c, tolerance=tolerance_override) for c in cases]
@@ -327,7 +278,18 @@ def run_cases(cases: list[SuiteCase], tolerance_override: float | None = None) -
     for i, key in enumerate(map(_row_key, cases)):
         indices[key].append(i)
     rows = {key: tuple(cases[i].spec.phi for i in idxs) for key, idxs in indices.items()}
-    tables = _Tables(rows)
+    computed_rows, grids = {}, defaultdict(list)
+    for key, phis in rows.items():
+        _kind, n, method, _source, radii, divergent, _sign = key
+        if method is SummationMethod.REDUCED:
+            computed_rows[key] = [reduced_neg_int(int(-n), phi).value for phi in phis]
+        elif method is SummationMethod.CLOSED:
+            computed_rows[key] = [quarter_turn_sum(n).value] * len(phis)
+        elif not divergent:  # a row that expects divergence is judged case by case
+            grids[method, radii, phis].append(key)
+    for (method, radii, phis), keys in grids.items():
+        computed_rows.update(zip(keys, evaluate_grid([key[:2] for key in keys], phis, method, radii)))
+    phase_series = functools.cache(lambda n, phis: series_at_phase(binom_prefix(n, int(n) + 1), phis))
     results: list[CaseResult] = [None] * len(cases)
     for key, idxs in indices.items():
         if key[5]:  # expect_divergent
@@ -335,8 +297,8 @@ def run_cases(cases: list[SuiteCase], tolerance_override: float | None = None) -
                 results[i] = _judge_refusal(cases[i])
             continue
         row = [cases[i] for i in idxs]
-        computed = np.array(_computed_row(key, rows[key], tables))
-        expected = np.array(_expected_row(key, rows[key], row, tables))
+        computed = np.array(computed_rows[key])
+        expected = np.array(_expected_row(key, rows[key], row, phase_series))
         # the judgement of each case, in the same float operations per element
         abs_error = np.abs(computed - expected)
         passed = abs_error <= np.array([case.tolerance for case in row]) * (1.0 + np.abs(expected))

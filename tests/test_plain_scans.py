@@ -446,11 +446,13 @@ def test_terminating_rows_in_the_doubles_raise_no_floating_point_error(kind, n, 
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_whole_row_sums_refuse_a_grid_with_an_angle_beyond_the_doubles():
+def test_a_grid_refuses_only_the_angle_of_a_row_beyond_the_doubles():
+    # n = 1024 sums to 2**1024 at phi = 0: that angle alone is refused, as one angle is
     with pytest.raises(DomainError, match="terminating row"):
-        series.whole_row_sums(SeriesKind.COSINE, 1024, series.rotations((1.0, 0.0), 1025))
-    sums = series.whole_row_sums(SeriesKind.COSINE, 1024, series.rotations((1.0,), 1025))
-    assert sums == [partial_sum(SeriesSpec("cos", 1024.0, 1.0), TERMS).value]
+        partial_sum(SeriesSpec("cos", 1024.0, 0.0), TERMS)
+    (sums,) = series.evaluate_grid([(SeriesKind.COSINE, 1024.0)], (0.0, 1.0), "partial")
+    assert math.isnan(sums[0])
+    assert sums[1].hex() == partial_sum(SeriesSpec("cos", 1024.0, 1.0), TERMS).value.hex()
 
 
 def test_partial_sum_beyond_the_doubles_raises_domain_error():

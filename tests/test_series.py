@@ -21,7 +21,7 @@ from trigsum import (
     evaluate,
     partial_sum,
 )
-from trigsum.series import trig_values
+from trigsum.series import SUMMATION_METHODS, evaluate_grid, trig_values
 from trigsum.suites import run_cases
 
 COS = SeriesKind.COSINE
@@ -353,6 +353,37 @@ def test_evaluate_phase_outside_its_domain(n):
 def test_evaluate_refuses_a_method_that_is_not_a_summation_method(method):
     with pytest.raises(ValueError, match="is not a summation method"):
         evaluate(SeriesSpec(COS, -3, 1.0), method)
+
+
+#: Signed zero exponents, terminating rows on both sides of the exact
+#: limit (n = 64), a fractional row and two negative ones.
+_GRID_ROWS = [(COS, -0.0), (SIN, 0.0), (COS, 0.0), (SIN, 3.0), (COS, 64.0), (SIN, 65.0),
+              (COS, 0.5), (SIN, -2.5), (COS, -3.0)]
+
+
+@pytest.mark.parametrize("phis", [(-2.0, 0.5, 1.0, 2.5), (1.0, math.pi - 1e-6)])
+@pytest.mark.parametrize("method", SUMMATION_METHODS)
+def test_evaluate_grid_gives_each_point_its_one_angle_value_or_nan(method, phis):
+    # the second grid holds the Abel branch point n = -3, phi = pi - 1e-6,
+    # which refuses that Abel grid; phase refuses n = 0.5 and 65, partial
+    # sums n = -3, Cesaro means n <= -2
+    grid = evaluate_grid(_GRID_ROWS, phis, method)
+    assert len(grid) == len(_GRID_ROWS)
+    for (kind, n), values in zip(_GRID_ROWS, grid):
+        assert values.shape == (len(phis),)
+        for phi, value in zip(phis, values.tolist()):
+            try:
+                alone = evaluate(SeriesSpec(kind, n, phi), method).value
+            except (DivergentSeriesError, DomainError):
+                assert math.isnan(value), (kind, n, phi)
+                continue
+            if method is SummationMethod.ABEL and n > -2.0:
+                # the grid takes Levin samples, one angle float64 samples
+                assert value == pytest.approx(alone, abs=1e-9), (kind, n, phi)
+            else:
+                assert value.hex() == alone.hex(), (kind, n, phi)
+    if method is SummationMethod.ABEL:  # the branch point fails alone
+        assert math.isnan(grid[-1][-1]) == (phis[-1] == math.pi - 1e-6)
 
 
 # ------------------------------------------------------ refusal per method

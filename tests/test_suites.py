@@ -31,6 +31,7 @@ from trigsum import (
     special_value_catalog,
     write_report,
 )
+from trigsum.cli import main
 from trigsum.series import SUMMATION_METHODS
 from trigsum.suites import SUITE_NAMES, CaseResult, VerificationReport, _num, run_cases
 
@@ -239,6 +240,19 @@ def test_verify_rejects_a_grid_step_that_is_not_positive_and_finite(step):
     assert "grid step must be a positive finite number" in proc.stderr
     with pytest.raises(ValueError, match="grid step"):  # safe in process once the child passed
         build_suite("finite_integer", float(step))
+
+
+@pytest.mark.parametrize("suite,step,empty", [("negative_integer", "170", "negative_integer"),
+                                              ("finite_integer", "400", "finite_integer"),
+                                              ("all", "170", "negative_integer")])
+def test_verify_refuses_a_grid_step_that_leaves_a_swept_suite_without_an_angle(capsys, suite, step, empty):
+    # these passed with no case of that suite: total=0, or all without negative_integer
+    # (its grid (-170, 170) deg leaves out 0, so a step of 170 leaves no angle)
+    assert main(["verify", "--suite", suite, "--grid-step-deg", step]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    message = f"a grid step of {float(step)} degrees leaves suite {empty!r} without an angle"
+    assert err == f"trigsum: usage error: {message}\n"
 
 
 #: SHA-256 of report bodies recorded when each case was still run on its own.
@@ -500,12 +514,13 @@ def test_build_suite_gives_the_pinned_cases_field_by_field(name, step):
 
 
 def test_phase_rows_make_one_phase_call_per_exponent_on_a_tuple_of_angles(monkeypatch):
+    # the suites check a phase row against series_at_phase; evaluate_grid sums it by binomial_phase_power
     calls = {"series_at_phase": [], "binomial_phase_power": []}
-    for name, log in calls.items():
-        def spy(first, phis, _log=log, _fn=getattr(trigsum.suites, name)):
+    for (name, log), module in zip(calls.items(), (trigsum.suites, trigsum.series)):
+        def spy(first, phis, _log=log, _fn=getattr(module, name)):
             _log.append((first, phis))
             return _fn(first, phis)
-        monkeypatch.setattr(trigsum.suites, name, spy)
+        monkeypatch.setattr(module, name, spy)
     cases = build_suite("phase_equivalence", 3.0)
     run_cases(cases)
     angles = tuple(sorted({c.spec.phi for c in cases}))
