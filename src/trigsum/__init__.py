@@ -39,6 +39,7 @@ from .series import (
 from .suites import (
     NEGATIVE_SUITE_RADII,
     SUITE_NAMES,
+    CaseCheck,
     CaseResult,
     ExpectedSource,
     SuiteCase,

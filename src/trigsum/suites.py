@@ -1,8 +1,8 @@
 """Verification suites: summation oracles against closed forms on angle grids.
 
-Each suite is a flat list of cases.  A case names one series, the method
-that computes it, where its expected value comes from (closed form, phase
-series, or a literal with a provenance note) and the tolerance.
+Each suite is a flat list of cases.  A case is one series and its check:
+the method that computes it, where its expected value comes from (closed
+form, phase series, or a literal with a provenance note) and the tolerance.
 A case passes when ``abs_error <= tolerance * (1 + |expected|)``.
 
 Suites are deterministic: identical invocations produce byte-identical
@@ -18,6 +18,7 @@ import time
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +33,7 @@ from .closed_forms import (
 from .exceptions import DivergentSeriesError, DomainError
 from .phase import series_at_phase
 from .series import (
+    SUMMATION_METHODS,
     SeriesKind,
     SeriesSpec,
     SummationMethod,
@@ -54,8 +56,8 @@ class ExpectedSource(str, enum.Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class SuiteCase:
-    spec: SeriesSpec
+class CaseCheck:
+    """How a case is judged; a builder shares one among the cases of an exponent or more."""
     method: SummationMethod
     expected_source: ExpectedSource
     tolerance: float
@@ -72,12 +74,25 @@ class SuiteCase:
         if self.expected_source is ExpectedSource.LITERAL and (
                 not self.note or self.expected_literal is None and not self.expect_divergent):
             raise ValueError("a literal expectation needs its value and a provenance note")
-        kind, n, phi = self.spec.kind, self.spec.n, self.spec.phi
+
+
+@dataclass(frozen=True, slots=True)
+class SuiteCase:
+    spec: SeriesSpec
+    check: CaseCheck
+    # the check's fields, read-only, as the case's own: case.tolerance is case.check.tolerance
+    method, expected_source, tolerance, note, radii, expected_literal, expect_divergent = (
+        property(attrgetter("check." + name)) for name in CaseCheck.__slots__)
+
+    def __post_init__(self):
+        method, spec = self.check.method, self.spec
+        if method in SUMMATION_METHODS:  # a summed case takes any series
+            return
         # a reduced case computes reduced_neg_int(-n), a closed one quarter_turn_sum(n)
-        if self.method is SummationMethod.REDUCED and not (
-                kind is SeriesKind.COSINE and is_integer_exponent(n) and -7.0 <= n <= -1.0):
+        if method is SummationMethod.REDUCED and not (
+                spec.kind is SeriesKind.COSINE and is_integer_exponent(spec.n) and -7.0 <= spec.n <= -1.0):
             raise ValueError(f"a reduced case needs a cosine row with integer n in -7..-1: {self.spec}")
-        if self.method is SummationMethod.CLOSED and (kind is not SeriesKind.COSINE or phi != 0.5 * math.pi):
+        if method is SummationMethod.CLOSED and (spec.kind is not SeriesKind.COSINE or spec.phi != 0.5 * math.pi):
             raise ValueError(f"a closed case needs the cosine row at a quarter turn: {self.spec}")
 
 
@@ -126,42 +141,41 @@ def _grid_deg(lo: float, hi: float, step: float, exclude_zero: bool = False) -> 
 # Suite builders
 # ----------------------------------------------------------------------
 
-def _sweep(ns, kinds, degrees, variants) -> list[SuiteCase]:
-    """One case per keyword set of ``variants(n)`` at each exponent, kind and
-    angle in degrees, in that order.  ``variants`` runs once per exponent,
-    so its cases share one tolerance object; the cases at one angle share one spec."""
+def _sweep(ns, kinds, degrees, checks) -> list[SuiteCase]:
+    """One case per check of ``checks(n)`` at each exponent, kind and angle
+    in degrees, in that order.  ``checks`` runs once per exponent, so the
+    cases of one exponent share its checks; the cases at one angle share one spec."""
     cases = []
     for n in ns:
-        shared = variants(n)
+        shared = checks(n)
         for kind in kinds:
             for d in degrees:
                 spec = SeriesSpec(kind, n, math.radians(d))
-                cases.extend(SuiteCase(spec=spec, **kw) for kw in shared)
+                cases.extend([SuiteCase(spec, check) for check in shared])
     return cases
 
 
 def _build_finite_integer(step: float | None) -> list[SuiteCase]:
     grid = _grid_deg(-179.0, 179.0, 1.0 if step is None else step)
-    partial = dict(method=SummationMethod.PARTIAL, expected_source=ExpectedSource.CLOSED_FORM, tolerance=1e-10)
-    return _sweep(map(float, range(0, 11)), SeriesKind, grid, lambda n: (partial,))
+    partial = (CaseCheck(SummationMethod.PARTIAL, ExpectedSource.CLOSED_FORM, 1e-10),)
+    return _sweep(map(float, range(0, 11)), SeriesKind, grid, lambda n: partial)
 
 
 def _quarter_turn_family(literals: dict, summed: tuple, closed: tuple) -> list[SuiteCase]:
     """A literal case at a quarter turn per exponent of ``literals`` and (method, tolerance, note)."""
     return _sweep(literals, (SeriesKind.COSINE,), (90.0,), lambda n: tuple(
-        dict(method=method, expected_source=ExpectedSource.LITERAL, tolerance=tolerance,
-             note=note, expected_literal=literals[n]) for method, tolerance, note in (summed, closed)))
+        CaseCheck(method, ExpectedSource.LITERAL, tolerance, note, expected_literal=literals[n])
+        for method, tolerance, note in (summed, closed)))
 
 
 def _build_negative_integer(step: float | None) -> list[SuiteCase]:
     grid = _grid_deg(-170.0, 170.0, 2.0 if step is None else step, exclude_zero=True)
     ns = [float(-m) for m in range(1, 7)]
-    abel = dict(method=SummationMethod.ABEL, expected_source=ExpectedSource.CLOSED_FORM,
-                tolerance=1e-6, radii=NEGATIVE_SUITE_RADII)
-    reduced = dict(method=SummationMethod.REDUCED, expected_source=ExpectedSource.CLOSED_FORM, tolerance=1e-12)
+    abel = (CaseCheck(SummationMethod.ABEL, ExpectedSource.CLOSED_FORM, 1e-6, radii=NEGATIVE_SUITE_RADII),)
+    reduced = (CaseCheck(SummationMethod.REDUCED, ExpectedSource.CLOSED_FORM, 1e-12),)
     # every Abel case first, then every reduced one
-    return (_sweep(ns, (SeriesKind.COSINE,), grid, lambda n: (abel,))
-            + _sweep(ns, (SeriesKind.COSINE,), grid, lambda n: (reduced,)))
+    return (_sweep(ns, (SeriesKind.COSINE,), grid, lambda n: abel)
+            + _sweep(ns, (SeriesKind.COSINE,), grid, lambda n: reduced))
 
 
 def _build_half_integer(step: float | None) -> list[SuiteCase]:
@@ -169,22 +183,22 @@ def _build_half_integer(step: float | None) -> list[SuiteCase]:
     for entry in special_value_catalog():
         # the boundary of conditional convergence takes plain truncation only
         partial = entry.spec.n > 0 and entry.spec.phi == math.pi
-        cases.append(SuiteCase(
-            spec=entry.spec, method=SummationMethod.PARTIAL if partial else SummationMethod.ABEL,
-            expected_source=ExpectedSource.LITERAL, tolerance=1e-3 if partial else 1e-6,
-            note=entry.description, expected_literal=entry.value, expect_divergent=entry.divergent))
+        cases.append(SuiteCase(entry.spec, CaseCheck(
+            SummationMethod.PARTIAL if partial else SummationMethod.ABEL, ExpectedSource.LITERAL,
+            1e-3 if partial else 1e-6, entry.description, expected_literal=entry.value,
+            expect_divergent=entry.divergent)))
     return cases
 
 
-def _phase_variants(n: float) -> tuple[dict, ...]:
+def _phase_checks(n: float) -> tuple[CaseCheck, ...]:
     tol = 1e-12 * 2.0 ** n
-    return tuple(dict(method=SummationMethod.PHASE, expected_source=source, tolerance=tol)
+    return tuple(CaseCheck(SummationMethod.PHASE, source, tol)
                  for source in (ExpectedSource.PHASE_SERIES, ExpectedSource.CLOSED_FORM))
 
 
 def _build_phase_equivalence(step: float | None) -> list[SuiteCase]:
     grid = _grid_deg(-179.0, 179.0, 1.0 if step is None else step)
-    return _sweep(map(float, range(0, 21)), SeriesKind, grid, _phase_variants)
+    return _sweep(map(float, range(0, 21)), SeriesKind, grid, _phase_checks)
 
 
 _BUILDERS = {
@@ -234,14 +248,15 @@ def build_suite(name: str, grid_step_deg: float | None = None) -> list[SuiteCase
 def _row_key(case: SuiteCase) -> tuple:
     """Cases with one key form a row: one series, method and expected source
     at many angles.  The sign of n is part of it, as -0.0 == 0.0."""
-    return (case.spec.kind, case.spec.n, case.method, case.expected_source,
-            case.radii, case.expect_divergent, math.copysign(1.0, case.spec.n))
+    spec, check = case.spec, case.check
+    return (spec.kind, spec.n, check.method, check.expected_source,
+            check.radii, check.expect_divergent, math.copysign(1.0, spec.n))
 
 
 def _expected_row(key: tuple, phis: tuple, row: list[SuiteCase], phase_series):
     kind, n, _method, source, *_ = key
     if source is ExpectedSource.LITERAL:
-        return [float(case.expected_literal) for case in row]
+        return [float(case.check.expected_literal) for case in row]
     if source is ExpectedSource.CLOSED_FORM:
         return evaluate_closed(kind, n, phis).value
     # the row polynomial by one Horner pass at p: its real and imaginary parts
@@ -252,7 +267,7 @@ def _judge_refusal(case: SuiteCase) -> CaseResult:
     """A case that expects divergence passes when evaluate refuses its row;
     a value fails it, and so does a DomainError (computed nan)."""
     try:
-        value = evaluate(case.spec, case.method, radii=case.radii).value
+        value = evaluate(case.spec, case.check.method, radii=case.check.radii).value
     except DivergentSeriesError:
         return CaseResult(case, math.nan, math.nan, math.nan, True)
     except DomainError:
@@ -271,8 +286,10 @@ def run_cases(cases: list[SuiteCase], tolerance_override: float | None = None) -
     case evaluated alone, but on the Abel rows with n > -2 that
     ``evaluate_grid`` sums on a grid.
     """
-    if tolerance_override is not None:
-        cases = [replace(c, tolerance=tolerance_override) for c in cases]
+    if tolerance_override is not None:  # each distinct check once
+        distinct = {id(c.check): c.check for c in cases}
+        overridden = {key: replace(check, tolerance=tolerance_override) for key, check in distinct.items()}
+        cases = [SuiteCase(c.spec, overridden[id(c.check)]) for c in cases]
     new_result = functools.partial(tuple.__new__, CaseResult)  # namedtuple's __new__, minus its frame
     indices: dict[tuple, array] = defaultdict(lambda: array("q"))  # no int object per case
     for i, key in enumerate(map(_row_key, cases)):
@@ -301,7 +318,7 @@ def run_cases(cases: list[SuiteCase], tolerance_override: float | None = None) -
         expected = np.array(_expected_row(key, rows[key], row, phase_series))
         # the judgement of each case, in the same float operations per element
         abs_error = np.abs(computed - expected)
-        passed = abs_error <= np.array([case.tolerance for case in row]) * (1.0 + np.abs(expected))
+        passed = abs_error <= np.array([case.check.tolerance for case in row]) * (1.0 + np.abs(expected))
         fields = zip(row, computed.tolist(), expected.tolist(), abs_error.tolist(), passed.tolist())
         for i, result in zip(idxs, map(new_result, fields)):
             results[i] = result
@@ -341,7 +358,7 @@ def report_lines(report: VerificationReport) -> list[str]:
     for i, (case, computed, expected, abs_error, passed) in enumerate(report.results):
         spec = case.spec
         lines.append("%d,%s,%s,%s,%s,%.17g,%.17g,%.17g,%s" % (  # %.17g gives _num's bytes
-            i, text[spec.kind], text[spec.n], text[spec.phi], text[case.method],
+            i, text[spec.kind], text[spec.n], text[spec.phi], text[case.check.method],
             computed, expected, abs_error, "true" if passed else "false"))
     lines.append(f"# total={report.total} passed={report.passed} failed={report.failed}")
     return lines

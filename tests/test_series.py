@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from trigsum import (
     PARTIAL_TERM_BUDGET,
+    CaseCheck,
     ConvergenceClass,
     DivergentSeriesError,
     DomainError,
@@ -344,8 +345,8 @@ def test_evaluate_phase_outside_its_domain(n):
     with pytest.raises(DomainError):
         evaluate(SeriesSpec(COS, n, 1.0), SummationMethod.PHASE)
     # a suite case there fails alone, with computed nan
-    (result,) = run_cases([SuiteCase(SeriesSpec(COS, n, 1.0), SummationMethod.PHASE,
-                                     ExpectedSource.CLOSED_FORM, 1e-9)])
+    check = CaseCheck(SummationMethod.PHASE, ExpectedSource.CLOSED_FORM, 1e-9)
+    (result,) = run_cases([SuiteCase(SeriesSpec(COS, n, 1.0), check)])
     assert math.isnan(result.computed) and not result.passed
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import trigsum
 from trigsum import (
+    CaseCheck,
     DivergentSeriesError,
     DomainError,
     ExpectedSource,
@@ -39,20 +40,21 @@ from trigsum.suites import SUITE_NAMES, CaseResult, VerificationReport, _num, ru
 def test_suite_case_validation():
     spec = SeriesSpec(SeriesKind.COSINE, 1.0, 0.5)
     with pytest.raises(ValueError):
-        SuiteCase(spec, SummationMethod.PARTIAL, ExpectedSource.LITERAL,
-                  tolerance=1e-6, expected_literal=1.0)  # literal needs a note
+        SuiteCase(spec, CaseCheck(SummationMethod.PARTIAL, ExpectedSource.LITERAL,
+                                  tolerance=1e-6, expected_literal=1.0))  # literal needs a note
     with pytest.raises(ValueError):
-        SuiteCase(spec, SummationMethod.PARTIAL, ExpectedSource.CLOSED_FORM,
-                  tolerance=-1.0)
+        SuiteCase(spec, CaseCheck(SummationMethod.PARTIAL, ExpectedSource.CLOSED_FORM,
+                                  tolerance=-1.0))
     # a literal needs its value too, unless the case expects a refusal and so
     # reads no expected value; run_cases would fail the whole run on None
     with pytest.raises(ValueError, match="needs its value"):
-        SuiteCase(spec, SummationMethod.PARTIAL, ExpectedSource.LITERAL, 1e-6, note="x")
-    SuiteCase(spec, SummationMethod.PARTIAL, ExpectedSource.LITERAL, 1e-6, note="x",
-              expect_divergent=True)
+        SuiteCase(spec, CaseCheck(SummationMethod.PARTIAL, ExpectedSource.LITERAL, 1e-6, note="x"))
+    SuiteCase(spec, CaseCheck(SummationMethod.PARTIAL, ExpectedSource.LITERAL, 1e-6, note="x",
+                              expect_divergent=True))
     # radii are checked when the case is built, by the rule abel_sum applies, and
     # kept as a tuple; a list or a bad schedule would abort the whole run later
-    abel = functools.partial(SuiteCase, spec, SummationMethod.ABEL, ExpectedSource.CLOSED_FORM, 1e-6)
+    def abel(radii):
+        return SuiteCase(spec, CaseCheck(SummationMethod.ABEL, ExpectedSource.CLOSED_FORM, 1e-6, radii=radii))
     assert abel(radii=[0.9, 0.95, 0.99]).radii == (0.9, 0.95, 0.99)
     for radii in ([0.9, 0.95, 1.0], (0.9, 0.99, 0.95), (0.9, 0.95)):
         with pytest.raises(ValueError):
@@ -61,18 +63,17 @@ def test_suite_case_validation():
 
 @pytest.mark.parametrize("kind,n", [("cos", -2.5), ("cos", 0.0), ("cos", -8.0), ("sin", -3.0)])
 def test_reduced_case_needs_a_cosine_row_with_n_in_minus_7_to_minus_1(kind, n):
+    reduced = CaseCheck(SummationMethod.REDUCED, ExpectedSource.CLOSED_FORM, tolerance=1e-12)
     with pytest.raises(ValueError):
-        SuiteCase(SeriesSpec(kind, n, 1.0), SummationMethod.REDUCED,
-                  ExpectedSource.CLOSED_FORM, tolerance=1e-12)
-    SuiteCase(SeriesSpec("cos", -7.0, 1.0), SummationMethod.REDUCED,
-              ExpectedSource.CLOSED_FORM, tolerance=1e-12)
+        SuiteCase(SeriesSpec(kind, n, 1.0), reduced)
+    SuiteCase(SeriesSpec("cos", -7.0, 1.0), reduced)
 
 
 @pytest.mark.parametrize("kind,phi", [("cos", 1.0), ("cos", -0.5 * math.pi), ("sin", 0.5 * math.pi)])
 def test_closed_case_needs_the_cosine_row_at_a_quarter_turn(kind, phi):
     with pytest.raises(ValueError):
-        SuiteCase(SeriesSpec(kind, 2.0, phi), SummationMethod.CLOSED,
-                  ExpectedSource.CLOSED_FORM, tolerance=1e-12)
+        SuiteCase(SeriesSpec(kind, 2.0, phi), CaseCheck(SummationMethod.CLOSED,
+                                                        ExpectedSource.CLOSED_FORM, tolerance=1e-12))
 
 
 def test_quarter_turn_suite_passes():
@@ -178,9 +179,8 @@ def test_a_case_computes_the_same_value_in_all_as_in_its_own_suite():
 
 def test_a_refused_grid_point_fails_alone():
     # the grid engine refuses the branch point; the case beside it still passes
-    cases = [SuiteCase(SeriesSpec(SeriesKind.COSINE, -3.0, phi), SummationMethod.ABEL,
-                       ExpectedSource.CLOSED_FORM, tolerance=1e-6)
-             for phi in (1.0, math.pi - 1e-6)]
+    check = CaseCheck(SummationMethod.ABEL, ExpectedSource.CLOSED_FORM, tolerance=1e-6)
+    cases = [SuiteCase(SeriesSpec(SeriesKind.COSINE, -3.0, phi), check) for phi in (1.0, math.pi - 1e-6)]
     ok, refused = run_cases(cases)
     assert ok.passed
     assert not refused.passed and math.isnan(refused.computed)
@@ -189,11 +189,11 @@ def test_a_refused_grid_point_fails_alone():
 def test_a_case_that_expects_divergence_passes_only_on_a_refusal():
     # n = 1030.5: the float64 terms overflow from k = 495 on, a domain error
     # and not a divergence, which fails that case alone
-    ok = SuiteCase(SeriesSpec("cos", 0.5, 1.0), SummationMethod.PARTIAL, ExpectedSource.CLOSED_FORM, 1e-6)
+    ok = SuiteCase(SeriesSpec("cos", 0.5, 1.0), CaseCheck(SummationMethod.PARTIAL, ExpectedSource.CLOSED_FORM, 1e-6))
+    divergent = CaseCheck(SummationMethod.PARTIAL, ExpectedSource.LITERAL, 1e-6,
+                          note="x", expected_literal=0.0, expect_divergent=True)
     refused, summed, overflow = (
-        SuiteCase(SeriesSpec("cos", n, phi), SummationMethod.PARTIAL, ExpectedSource.LITERAL, 1e-6,
-                  note="x", expected_literal=0.0, expect_divergent=True)
-        for n, phi in ((-0.5, math.pi), (0.5, 1.0), (1030.5, 1.0)))
+        SuiteCase(SeriesSpec("cos", n, phi), divergent) for n, phi in ((-0.5, math.pi), (0.5, 1.0), (1030.5, 1.0)))
     results = run_cases([ok, refused, summed, overflow])
     assert [r.passed for r in results] == [True, True, False, False]
     assert all(math.isnan(r.expected) and math.isnan(r.abs_error) for r in results[1:])
@@ -217,8 +217,8 @@ def test_catalog_cases_carry_their_entry_values():
 
 def test_suite_case_rejects_a_nan_tolerance():
     with pytest.raises(ValueError, match="tolerance must be >= 0"):
-        SuiteCase(SeriesSpec(SeriesKind.COSINE, 1.0, 0.5), SummationMethod.PARTIAL,
-                  ExpectedSource.CLOSED_FORM, tolerance=math.nan)
+        SuiteCase(SeriesSpec(SeriesKind.COSINE, 1.0, 0.5), CaseCheck(SummationMethod.PARTIAL,
+                                                                     ExpectedSource.CLOSED_FORM, tolerance=math.nan))
 
 
 def _cap_child_memory():
@@ -349,7 +349,7 @@ _REPORT_FLOATS = st.one_of(
        values=st.lists(_REPORT_FLOATS, min_size=3, max_size=3), passed=st.booleans(),
        kind=st.sampled_from(list(SeriesKind)), count=st.integers(1, 3))
 def test_report_line_template_gives_the_bytes_of_num(n, phi, values, passed, kind, count):
-    case = SuiteCase(SeriesSpec(kind, n, phi), SummationMethod.PHASE, ExpectedSource.CLOSED_FORM, 1e-9)
+    case = SuiteCase(SeriesSpec(kind, n, phi), CaseCheck(SummationMethod.PHASE, ExpectedSource.CLOSED_FORM, 1e-9))
     result = CaseResult(case, *values, passed)
     lines = report_lines(VerificationReport("x", [result] * count, 0.0))
     assert lines[1:-1] == [_line_by_join(i, result) for i in range(count)]
@@ -363,7 +363,8 @@ _REPORT_ANGLES = st.one_of(st.sampled_from([0.0, -0.0, 1.5, -1.5, 5e-324, -5e-32
 def _report_of(rows):
     """A report of one result per (n, phi, values, passed, kind, method) row."""
     return VerificationReport("x", [
-        CaseResult(SuiteCase(SeriesSpec(kind, n, phi), method, ExpectedSource.CLOSED_FORM, 1e-9), *values, passed)
+        CaseResult(SuiteCase(SeriesSpec(kind, n, phi), CaseCheck(method, ExpectedSource.CLOSED_FORM, 1e-9)),
+                   *values, passed)
         for n, phi, values, passed, kind, method in rows], 0.0)
 
 
@@ -392,16 +393,53 @@ def test_a_suite_case_is_a_frozen_slotted_record():
     case = build_suite("lambda")[0]
     assert not hasattr(case, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
+        case.check.tolerance = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        case.check = case.check
+    with pytest.raises((AttributeError, TypeError)):  # a read-only view of the check
         case.tolerance = 0.0
     with pytest.raises(ValueError, match="tolerance must be >= 0"):
-        dataclasses.replace(case, tolerance=-1.0)
-    reduced = SuiteCase(SeriesSpec("cos", -3.0, 1.0), SummationMethod.REDUCED, ExpectedSource.CLOSED_FORM, 1e-12)
+        dataclasses.replace(case.check, tolerance=-1.0)
+    reduced = SuiteCase(SeriesSpec("cos", -3.0, 1.0), CaseCheck(SummationMethod.REDUCED, ExpectedSource.CLOSED_FORM,
+                                                                1e-12))
     with pytest.raises(ValueError, match="a reduced case needs"):
         dataclasses.replace(reduced, spec=SeriesSpec("sin", -3.0, 1.0))
     # perfbench's seeded grids shift each angle this way
     moved = dataclasses.replace(reduced, spec=SeriesSpec("cos", -3.0, 1.25))
-    assert moved == SuiteCase(SeriesSpec("cos", -3.0, 1.25), SummationMethod.REDUCED,
-                              ExpectedSource.CLOSED_FORM, 1e-12)
+    assert moved == SuiteCase(SeriesSpec("cos", -3.0, 1.25), CaseCheck(SummationMethod.REDUCED,
+                                                                       ExpectedSource.CLOSED_FORM, 1e-12))
+
+
+#: Most check objects the cases of each suite share: one per exponent and variant.
+_MOST_CHECKS = {"finite_integer": 11, "negative_integer": 12, "half_integer": 7, "quarter_turn": 14,
+                "lambda": 12, "phase_equivalence": 42, "all": 98}
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_the_cases_of_a_suite_share_their_checks(name):
+    cases = build_suite(name)
+    checks = {id(c.check): c.check for c in cases}
+    assert len(checks) <= _MOST_CHECKS[name]
+    assert all(type(check) is CaseCheck for check in checks.values())
+    # an override makes one check per check it replaces
+    overridden = run_cases(cases, tolerance_override=1e-6)
+    assert len({id(r.case.check) for r in overridden}) == len(checks)
+
+
+def test_shifting_a_case_keeps_its_check():
+    # perfbench's seeded grids move each angle by dataclasses.replace(case, spec=...)
+    case = build_suite("finite_integer")[0]
+    moved = dataclasses.replace(case, spec=SeriesSpec(case.spec.kind, case.spec.n, case.spec.phi + 0.25))
+    assert moved.check is case.check and moved.spec.phi == case.spec.phi + 0.25
+    reduced = next(c for c in build_suite("negative_integer") if c.method is SummationMethod.REDUCED)
+    with pytest.raises(ValueError, match="a reduced case needs"):
+        dataclasses.replace(reduced, spec=SeriesSpec("sin", reduced.spec.n, reduced.spec.phi))
+
+
+@pytest.mark.parametrize("fields", [dict(expected_literal=1.0), dict(note="x"), dict(note="", expected_literal=1.0)])
+def test_a_literal_check_needs_its_note_and_value_when_built(fields):
+    with pytest.raises(ValueError, match="a literal expectation needs its value and a provenance note"):
+        CaseCheck(SummationMethod.PARTIAL, ExpectedSource.LITERAL, 1e-6, **fields)
 
 
 #: SHA-256 of report bodies under a tolerance override, recorded before cases had slots.
@@ -415,8 +453,7 @@ _OVERRIDE_REPORT_SHA256 = {
 def test_a_tolerance_override_judges_as_cases_built_with_that_tolerance(name, step, tol):
     cases = build_suite(name, step)
     results = run_cases(cases, tolerance_override=tol)
-    direct = run_cases([SuiteCase(**{**{f.name: getattr(c, f.name) for f in dataclasses.fields(c)},
-                                     "tolerance": tol}) for c in cases])
+    direct = run_cases([SuiteCase(c.spec, dataclasses.replace(c.check, tolerance=tol)) for c in cases])
     assert all(type(r) is CaseResult for r in results)
     for r, d, case in zip(results, direct, cases):
         assert r.case == d.case and r.case.tolerance == tol and r.case.spec is case.spec
@@ -449,7 +486,7 @@ def test_a_report_counts_its_passes_once():
 def test_a_refused_terminating_row_gives_nan_cases():
     # n = 1024 sums to 2**1024 at phi = 0, beyond the doubles: the Abel grid
     # refuses the row, whose angles are then summed one at a time
-    cases = [SuiteCase(SeriesSpec("cos", 1024.0, phi), method, ExpectedSource.CLOSED_FORM, 1e-9)
+    cases = [SuiteCase(SeriesSpec("cos", 1024.0, phi), CaseCheck(method, ExpectedSource.CLOSED_FORM, 1e-9))
              for method in (SummationMethod.PARTIAL, SummationMethod.CESARO, SummationMethod.ABEL)
              for phi in (0.0, 1.0)]
     for r in run_cases(cases):
@@ -461,7 +498,7 @@ def test_a_refused_terminating_row_gives_nan_cases():
 
 def test_exponents_minus_zero_and_zero_form_two_rows():
     # -0.0 == 0.0, yet the sine closed form keeps the sign of n: 2**n cos(phi/2)**n sin(n phi/2)
-    cases = [SuiteCase(SeriesSpec(kind, n, phi), method, source, tolerance=1e-9)
+    cases = [SuiteCase(SeriesSpec(kind, n, phi), CaseCheck(method, source, tolerance=1e-9))
              for n in (0.0, -0.0) for kind in (SeriesKind.COSINE, SeriesKind.SINE) for phi in (1.0, -2.0)
              for method, source in ((SummationMethod.PARTIAL, ExpectedSource.CLOSED_FORM),
                                     (SummationMethod.PHASE, ExpectedSource.PHASE_SERIES))]
