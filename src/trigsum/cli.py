@@ -38,7 +38,18 @@ _ANGLE_RE = re.compile(
     r"\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)(deg|rad)?\s*")
 
 
+# A word that starts with "-" is a value, not an option, if this matches it: every negative
+# number float or parse_angle reads, as -1e9, -inf or -90deg (argparse knows -12 and -1.5).
+_DIGITS = r"\d(?:_?\d)*"
+_NEGATIVE_NUMBER_RE = re.compile(rf"-(?:(?:(?:{_DIGITS})?\.{_DIGITS}|{_DIGITS}\.?)(?:[eE][-+]?{_DIGITS})?"
+                                 rf"(?:deg|rad)?|(?i:inf|infinity|nan))\s*\Z")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER_RE
+
     def error(self, message):
         raise ValueError(message)
 

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from . import dd
@@ -596,19 +596,48 @@ def _value_or_nan(spec: SeriesSpec, method: SummationMethod, radii) -> float:
 # Double-double Abel engine: one angle (abel_sum) or an angle grid (evaluate_grid)
 # ----------------------------------------------------------------------
 
-def _dd_unit_power(phis, k: int):
-    """cos(k*phi) and sin(k*phi) per angle as double-double (hi, lo, hi, lo) arrays.
+@functools.cache
+def _fixed_pi(bits: int) -> int:
+    """pi * 2**bits within a unit, by Machin's pi = 16 atan(1/5) - 4 atan(1/239)."""
+    total = 0
+    for c, x in ((16, 5), (-4, 239)):
+        t, k = (1 << bits + 16) // x, 1  # x**-k; atan(1/x) sums (-1)**(k//2) x**-k / k
+        while t:
+            total += c * (t // k if k % 4 == 1 else -(t // k))
+            t, k = t // (x * x), k + 2
+    return total >> 16
 
-    Taken from 40-digit mpmath values, where k*phi is exact, and rounded
-    once to double-double.
+
+def _unit_powers(phi: float):
+    """The words (cos hi, cos lo, sin hi, sin lo) of z**L, z = exp(i*phi), for L = 1, 2, 4, ...
+
+    z is a Taylor series in integers over 2**bits after |phi| >= 1 is reduced by pi/2, with
+    guard bits for its exponent; a tiny phi gets more bits, for the low words of 1 - phi**2/2
+    and phi - phi**3/6.  Each z**L squares the one before and is rounded once, as int / int is.
     """
-    out = np.empty((4, len(phis)))
-    with mp.workdps(40):
-        for i, phi in enumerate(phis):
-            for j, v in enumerate(mp.cos_sin(mp.mpf(phi) * k)):
-                out[2 * j, i] = hi = float(v)
-                out[2 * j + 1, i] = float(v - mp.mpf(hi))
-    return tuple(out)
+    e = math.frexp(phi)[1]
+    bits, guard = 200 + 3 * max(-e, 0), max(e, 0) + 16
+    num, den = phi.as_integer_ratio()
+    x, q = (num << bits + guard) // den, 0  # phi * 2**(bits + guard), exact
+    if e > 0:
+        half_pi = _fixed_pi(bits + guard - 1)
+        q = (2 * x + half_pi) // (2 * half_pi)  # the nearest multiple of pi/2
+        x -= q * half_pi
+    terms = [1 << bits]  # |r|**k / k! for the reduced r = x / 2**(bits + guard)
+    while terms[-1]:
+        terms.append((terms[-1] * abs(x >> guard) >> bits) // len(terms))
+    c = sum(terms[::4]) - sum(terms[2::4])
+    s = (sum(terms[1::4]) - sum(terms[3::4])) * (-1 if x < 0 else 1)
+    for _ in range(q % 4):  # times i**q
+        c, s = -s, c
+    while True:
+        words = []
+        for v in (c, s):
+            hi = v / (1 << bits)
+            p, d = hi.as_integer_ratio()
+            words += (hi, (v * d - (p << bits)) / (d << bits))
+        yield words
+        c, s = (c * c - s * s) >> bits, (c * s) >> bits - 1
 
 
 def _dd_trig_table(phis: np.ndarray, count: int):
@@ -618,20 +647,20 @@ def _dd_trig_table(phis: np.ndarray, count: int):
     z**k for z = exp(i*phi) is built by one doubling rule: rows [s, s + L)
     are the rows L back times z**L, where L = min(s, B) and B is the largest
     power of two that keeps B rows of every angle within _BLOCK_ELEMS
-    elements.  Every z**L is read from mpmath once, so errors add up only
-    along the log2(B) doublings and the count/B block steps.
+    elements.  Every z**L is rounded once from integers (``_unit_powers``),
+    so errors add up only along the log2(B) doublings and the count/B steps.
     """
-    phis = phis.tolist()
+    powers = [_unit_powers(phi) for phi in phis.tolist()]
     block = 1
-    while block < count and 2 * block * len(phis) <= _BLOCK_ELEMS:
+    while block < count and 2 * block * len(powers) <= _BLOCK_ELEMS:
         block *= 2
-    table = tuple(np.zeros((count, len(phis))) for _ in range(4))
+    table = tuple(np.zeros((count, len(powers))) for _ in range(4))
     table[0][0] = 1.0
     start = 1
     while start < count:
         back = min(start, block)
         if back == start:  # z**1, z**2, ..., z**B; then z**B again
-            zback = _dd_unit_power(phis, back)
+            zback = tuple(np.array([next(p) for p in powers]).T)
         stop = min(start + back, count)
         for t, e in zip(table, dd.cmul(*(t[start - back:stop - back] for t in table), *zback)):
             t[start:stop] = e

@@ -76,9 +76,37 @@ def test_dd_trig_table_against_mpmath():
                     for k in range(0, SUITE_KMAX, 997):
                         err = _dd_value(hi[k, j], lo[k, j]) - exact(k * mp.mpf(phi))
                         worst = max(worst, abs(float(err)))
-    # every z**L read from mpmath: 1.56e-31 (a table stepped from one z per
-    # angle reaches 2.5e-28, and then accepts the branch point below)
+    # every z**L rounded once from its exact value: 1.56e-31 (a table stepped
+    # in double-double from one 40-digit z per angle reaches 2.5e-28, and then
+    # accepts the branch point below)
     assert worst <= 2e-31
+
+
+def _rounded_once(v):
+    """(RN(v), RN(v - RN(v))) of an mpf, each rounded by exact rational division."""
+    exact = int(mp.sign(v)) * Fraction(v.man) * Fraction(2) ** v.exp
+    hi = float(exact)
+    return hi, float(exact - Fraction(hi))
+
+
+#: Zero, the least subnormal, tiny angles whose low words need more than 136
+#: bits (at 1e-100 the low word of sin, phi**3/6, needs about three bits per
+#: binary order of phi), the quarter and half turns as doubles, one step short
+#: of the half turn, and angles that need pi/2 to many bits to be reduced.
+_UNIT_ANGLES = [0.0, 5e-324, 1e-300, 1e-100, 1e-30, 1e-20, math.pi / 2, math.pi - 1e-6, math.pi,
+                100.0, 1e300, -2.5]
+
+
+def test_each_unit_power_is_its_exact_value_rounded_to_double_double():
+    # z**k for z = exp(i*phi), k = 1, 2, 4, ..., 64: the 0.1 degree grid and
+    # the edge angles, against mpmath at enough bits to hold each low word
+    phis = _UNIT_ANGLES + np.radians(np.arange(-1800, 1801) / 10.0).tolist()
+    for phi in phis:
+        powers = series._unit_powers(phi)
+        for k in (2 ** j for j in range(7)):
+            with mp.workprec(250 + 3 * abs(math.frexp(phi)[1])):
+                c, s = mp.cos_sin(k * mp.mpf(phi))
+            assert tuple(next(powers)) == _rounded_once(c) + _rounded_once(s), (phi, k)
 
 
 @pytest.mark.parametrize("angles", [1, 40, 50, 84, 3600])

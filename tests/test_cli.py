@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -538,3 +539,84 @@ def test_verify_nan_tolerance_is_a_usage_error(capsys):
     code, out, err = run(capsys, "verify", "--suite", "quarter_turn", "--tol", "nan")
     assert (code, out) == (64, "")
     assert "tolerance must be >= 0" in err
+
+
+@pytest.mark.parametrize("phi", ["-90deg", "-1e-3", "-.5rad", "-1E+2deg"])
+def test_a_negative_angle_with_a_unit_or_an_exponent_is_a_value(capsys, phi):
+    # argparse's own pattern knows only -12 and -1.5: these were read as
+    # unknown options, and sum exited 64 with "expected one argument"
+    spaced = run(capsys, "sum", "--kind", "cos", "--n", "2", "--phi", phi, "--method", "phase")
+    joined = run(capsys, "sum", "--kind", "cos", "--n", "2", f"--phi={phi}", "--method", "phase")
+    assert spaced == joined
+    assert spaced[0] == 0
+
+
+def test_a_negative_n_in_e_notation_is_a_value(capsys):
+    spaced = run(capsys, "sum", "--kind", "cos", "--n", "-1e9", "--phi", "1", "--method", "abel")
+    joined = run(capsys, "sum", "--kind", "cos", "--n=-1e9", "--phi", "1", "--method", "abel")
+    assert spaced == joined
+    assert spaced[0] == 3
+
+
+def test_a_table_starts_at_a_negative_angle_with_a_unit(capsys):
+    code, out, err = run(capsys, "table", "--kind", "cos", "--n", "2", "--from", "-90deg",
+                         "--to", "0deg", "--step", "45deg", "--methods", "phase")
+    assert (code, err) == (0, "")
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["-90", "-45", "0"]
+
+
+@pytest.mark.parametrize("phi", ["-x", "-deg", "-90grad"])
+def test_a_word_that_is_no_number_is_still_an_option(capsys, phi):
+    code, out, err = run(capsys, "sum", "--kind", "cos", "--n", "2", "--phi", phi, "--method", "phase")
+    assert (code, out) == (64, "")
+    assert "expected one argument" in err
+
+
+_RUNTIME_ARGVS = [
+    ["sum", "--kind", "cos", "--n", "0.5", "--phi", "2", "--method", "partial"],
+    ["sum", "--kind", "sin", "--n", "-0.5", "--phi", "1", "--method", "cesaro"],
+    ["sum", "--kind", "cos", "--n", "-3", "--phi", "1", "--method", "abel"],  # double-double
+    ["sum", "--kind", "sin", "--n", "-1.5", "--phi", "2", "--method", "abel"],
+    ["sum", "--kind", "cos", "--n", "7", "--phi", "1", "--method", "phase"],
+    ["table", "--kind", "cos", "--n", "-2.5", "--from", "10deg", "--to", "170deg",
+     "--step", "40deg", "--methods", "partial,cesaro,abel"],
+    ["verify", "--suite", "lambda"],
+]
+
+# Blocks mpmath in a child process, then runs each argv through cli.main.
+_WITHOUT_MPMATH = """
+import contextlib, io, json, sys
+sys.modules["mpmath"] = None  # import mpmath raises ImportError
+from trigsum.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        runs.append([main(argv), out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def _child(script, *argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(trigsum.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout
+
+
+def _without_wall_time(out):
+    return re.sub(r" wall_time=\S+", "", out)
+
+
+def test_the_runtime_needs_numpy_alone(capsys):
+    # every method, a table and a suite, in a child that cannot import mpmath
+    runs = json.loads(_child(_WITHOUT_MPMATH, json.dumps(_RUNTIME_ARGVS)))
+    for argv, (code, out, err) in zip(_RUNTIME_ARGVS, runs, strict=True):
+        here = run(capsys, *argv)
+        assert (code, _without_wall_time(out), err) == (here[0], _without_wall_time(here[1]), here[2]), argv
+    assert [r[0] for r in runs] == [0] * 7
+
+
+def test_importing_trigsum_leaves_mpmath_unloaded():
+    assert _child("import sys, trigsum; print('mpmath' in sys.modules)") == "False\n"
