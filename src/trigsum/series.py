@@ -54,9 +54,9 @@ _ABEL_CUT_LOG = math.log(1e-22)
 #: and the largest automatic Abel budget before a radius counts as too close to 1.
 MAX_TERMS = 5_000_000
 
-# Most elements in one block of the Abel engine's trig table, of a term
-# budget's chunk or of plain-double terms.  Larger blocks cost memory and,
-# past about 2**13 elements, run the double-double kernels slower per element.
+# Most elements in one block of the Abel engine's trig table, of a term budget's chunk, of
+# plain-double terms, or of each part of a Levin order loop's column block.  Larger blocks
+# cost memory and, past about 2**13 elements, run the double-double kernels slower per element.
 _BLOCK_ELEMS = 2 ** 12
 _EXP_BIAS = 1073  # np.frexp gives exponents -1073 .. 1024 for finite doubles
 
@@ -218,11 +218,16 @@ class _ExactSum:
     buckets by np.bincount, exact for up to 2**26 elements (MAX_TERMS is
     fewer).  ``value`` rounds the integer total once by int true division,
     which CPython rounds correctly (Neal 2015, "small superaccumulator").
-    Non-finite input or overflow raise DomainError.
+    Non-finite input (indexed from ``first``) or overflow raise DomainError.
+    ``merge`` adds another sum's buckets, exact up to 2**26 elements in all.
     """
 
-    def __init__(self):
-        self._seen, self._buckets = 0, np.zeros(2 * _EXP_BIAS)
+    def __init__(self, first: int = 0):
+        self._seen, self._buckets = first, np.zeros(2 * _EXP_BIAS)
+
+    def merge(self, other: _ExactSum) -> _ExactSum:
+        self._buckets += other._buckets
+        return self
 
     def add(self, x: np.ndarray) -> _ExactSum:
         for start in range(0, x.size, _BLOCK_ELEMS):
@@ -339,17 +344,18 @@ def cesaro_sum(spec: SeriesSpec, terms: int) -> SummationResult:
     if row is not None:
         return row
     w = -(-terms // 4)  # ceil; 2 * w <= terms
-    total, last, prev = _ExactSum(), _ExactSum(), _ExactSum()
+    cuts = (0, terms - 2 * w, terms - w, terms)  # before the windows, the last but one, the last
+    before, prev, last = sums = [_ExactSum(first) for first in cuts[:3]]
     carry = -0.0  # -0.0 + x is x for every x, -0.0 included
     with np.errstate(over="ignore", invalid="ignore"):
         for start, partials in _term_blocks(spec, terms):
             partials[0] += carry
             carry = np.cumsum(partials, out=partials)[-1]
-            total.add(partials)
-            last.add(partials[max(terms - w - start, 0):])
-            prev.add(partials[max(terms - 2 * w - start, 0):max(terms - w - start, 0)])
+            for part, lo, hi in zip(sums, cuts, cuts[1:]):
+                part.add(partials[max(lo - start, 0):max(hi - start, 0)])
     residual = abs(last.value() / w - prev.value() / w)
-    return SummationResult(total.value() / terms, SummationMethod.CESARO, terms, residual, conv)
+    total = before.merge(prev).merge(last).value()
+    return SummationResult(total / terms, SummationMethod.CESARO, terms, residual, conv)
 
 
 # ----------------------------------------------------------------------
@@ -693,13 +699,15 @@ def _dd_power_arrays(r, count: int):
 
 
 def _dd_reduce_axis0(th: np.ndarray, tl: np.ndarray):
-    while th.shape[0] > 1:
-        half = th.shape[0] // 2
-        sh, sl = dd.add(th[:half], tl[:half], th[half:2 * half], tl[half:2 * half])
-        if th.shape[0] % 2:
-            sh = np.concatenate([sh, th[-1:]], axis=0)
-            sl = np.concatenate([sl, tl[-1:]], axis=0)
-        th, tl = sh, sl
+    """Double-double sum along axis 0, in place in arrays the caller owns: of m
+    rows, row i takes row i + m // 2, an odd last row moves down.  Returns row 0."""
+    rows = th.shape[0]
+    while rows > 1:
+        half = rows // 2
+        th[:half], tl[:half] = dd.add(th[:half], tl[:half], th[half:2 * half], tl[half:2 * half])
+        if rows % 2:
+            th[half], tl[half] = th[rows - 1], tl[rows - 1]
+        rows -= half
     return th[0], tl[0]
 
 
@@ -795,7 +803,11 @@ def _levin_samples(kind: SeriesKind, n: float, phis: np.ndarray, radii, trig=Non
             stack_h, stack_l, scale = (np.take(t, keep, axis=-1) for t in (stack_h, stack_l, scale))
         for K in stage:
             wh, wl = (w[:, None, None] for w in _LEVIN_WEIGHTS[K])
-            rh, rl = _dd_reduce_axis0(*dd.mul(wh, wl, stack_h[:K + 1], stack_l[:K + 1]))
+            rh, rl = np.empty((2,) + stack_h.shape[1:])  # the weighted sums, a column block at a time
+            step = max(1, _BLOCK_ELEMS // (K + 1))
+            for b in range(0, rh.shape[-1], step):
+                rh[:, b:b + step], rl[:, b:b + step] = _dd_reduce_axis0(*dd.mul(
+                    wh, wl, stack_h[:K + 1, :, b:b + step], stack_l[:K + 1, :, b:b + step]))
             value = dd.cmul(rh[0], rl[0], rh[1], rl[1], *dd.crecip(rh[2], rl[2], rh[3], rl[3]))
             if prev is not None:
                 diff = np.hypot(dd.add(*value[:2], -prev[0], -prev[1])[0],

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -309,9 +310,14 @@ def _staged_and_unstaged(*args):
     return None if isinstance(results[0], str) else results[0]
 
 
-def test_levin_stages_change_no_bit():
+def _suite_abel_angles():
+    """The |phi| of the negative_integer suite's Abel cases: 84 angles."""
     suite = build_suite("negative_integer")
-    phis = np.unique([abs(c.spec.phi) for c in suite if c.method is SummationMethod.ABEL])
+    return np.unique([abs(c.spec.phi) for c in suite if c.method is SummationMethod.ABEL])
+
+
+def test_levin_stages_change_no_bit():
+    phis = _suite_abel_angles()
     trig = _dd_trig_table(phis, _LEVIN_ROWS)
     samples = [_staged_and_unstaged(SeriesKind.COSINE, float(-m), phis, NEGATIVE_SUITE_RADII, trig)
                for m in range(1, 7)]
@@ -364,6 +370,65 @@ def test_each_angle_of_a_grid_keeps_its_bits():
                     mixed |= min(orders) == 24 and max(orders) >= 32
     # the second stage ran on a strict subset of a band's angles
     assert mixed
+
+
+def test_levin_column_blocks_keep_each_angles_bits():
+    # the order loop sums its weighted rows a column block of samples at a
+    # time; with a 0.1 degree band below 170 degrees, orders 16 and 24 span
+    # at least 3 blocks, and at n = -6 the second stage more than one
+    phis = np.concatenate([_suite_abel_angles(), np.radians(np.arange(1690, 1700) / 10.0)])
+    trig = _dd_trig_table(phis, _LEVIN_ROWS)
+    second_stage = []
+    for n in (-3.0, -6.0):
+        grid = _bits(_levin_samples(SeriesKind.COSINE, n, phis, NEGATIVE_SUITE_RADII, trig))
+        alone = [_bits(_levin_samples(SeriesKind.COSINE, n, phis[i:i + 1], NEGATIVE_SUITE_RADII,
+                                      tuple(t[:, i:i + 1] for t in trig)))
+                 for i in range(phis.size)]
+        # grid bits are radius-major: angle i at i, i + phis.size, ...
+        assert [grid[i::phis.size] for i in range(phis.size)] == alone
+        assert len(grid) > 2 * (series._BLOCK_ELEMS // 17)  # 3 blocks at order 16, more at 24
+        second_stage.append(sum(k > series._LEVIN_STAGES[0][-1] for *_, k in grid))
+    assert max(second_stage) > series._BLOCK_ELEMS // 33
+
+
+def _reduce_by_concatenation(th, tl):
+    """The pairwise double-double sum along axis 0, each level a new array."""
+    while th.shape[0] > 1:
+        half = th.shape[0] // 2
+        sh, sl = dd.add(th[:half], tl[:half], th[half:2 * half], tl[half:2 * half])
+        if th.shape[0] % 2:
+            sh, sl = np.concatenate([sh, th[-1:]]), np.concatenate([sl, tl[-1:]])
+        th, tl = sh, sl
+    return th[0], tl[0]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 5, 17, 25, 33, 65])
+def test_in_place_reduction_pairs_rows_as_concatenation_does(rows):
+    rng = np.random.default_rng(rows)
+    hi = rng.standard_normal((rows, 4, 7)) * 10.0 ** rng.integers(-8, 9, (rows, 4, 7))
+    hi, lo = dd.two_sum(hi, hi * rng.standard_normal(hi.shape) * 2.0 ** -60)
+    want = _reduce_by_concatenation(hi, lo)
+    got = series._dd_reduce_axis0(hi.copy(), lo.copy())
+    for a, b in zip(got, want):
+        assert [x.hex() for x in a.ravel().tolist()] == [x.hex() for x in b.ravel().tolist()]
+
+
+@pytest.mark.parametrize("ns, bound_mib", [([-3.0], 5.0), ([-1.0, -2.0, -3.0, -4.0, -5.0, -6.0], 5.5)],
+                         ids=["one_exponent", "six_exponents"])
+def test_the_abel_grid_memory_peak_is_bounded(ns, bound_mib):
+    # aim 3: the order loop forms its weighted rows a column block at a
+    # time.  tracemalloc peaked at 3.72 MiB (one exponent) and 4.80 MiB
+    # (six) with the blocks, and at 6.05 and 6.16 MiB with each order's
+    # whole (K + 1) x 4 x samples product, which these bounds refuse
+    phis = _suite_abel_angles().tolist()
+    series.abel_sum_grid(SeriesKind.COSINE, ns, phis, NEGATIVE_SUITE_RADII)  # warm up
+    tracemalloc.start()
+    try:
+        series.abel_sum_grid(SeriesKind.COSINE, ns, phis, NEGATIVE_SUITE_RADII)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2 ** 20
 
 
 @pytest.mark.parametrize("kind, ns, degrees, radii", [

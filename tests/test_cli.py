@@ -303,6 +303,16 @@ def test_sum_with_non_finite_float64_terms_is_domain_error(capsys, method):
     assert "domain error" in err and "not finite" in err
 
 
+def test_cesaro_names_the_first_non_finite_partial_sum_by_its_index_in_the_row(capsys):
+    # 600 terms: the windows of the residual are k = 300..449 and 450..599,
+    # and the first partial sum past the doubles, k = 495, lies in the last
+    code, out, err = run(capsys, "sum", "--kind", "cos", "--n", "1030.5", "--phi", "1",
+                         "--method", "cesaro", "--terms", "600")
+    assert code == 2
+    assert out == ""
+    assert err == "trigsum: domain error: float64 sum: the term or partial sum at k = 495 is not finite\n"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("n, phi, method", [("1024", "0", "cesaro"), ("1024", "0", "abel"),
                                             ("1029", "1", "partial")])
