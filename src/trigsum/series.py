@@ -55,8 +55,9 @@ _ABEL_CUT_LOG = math.log(1e-22)
 MAX_TERMS = 5_000_000
 
 # Most elements in one block of the Abel engine's trig table, of a term budget's chunk, of
-# plain-double terms, or of each part of a Levin order loop's column block.  Larger blocks
-# cost memory and, past about 2**13 elements, run the double-double kernels slower per element.
+# plain-double terms, of a Levin set-up block, or of each part of a Levin order loop's column
+# block; a Levin angle block holds half as many samples.  Larger blocks cost memory and,
+# past about 2**13 elements, run the double-double kernels slower per element.
 _BLOCK_ELEMS = 2 ** 12
 _EXP_BIAS = 1073  # np.frexp gives exponents -1073 .. 1024 for finite doubles
 
@@ -763,79 +764,88 @@ def _levin_samples(kind: SeriesKind, n: float, phis: np.ndarray, radii, trig=Non
     serves callers that sample several exponents; left out, each stage
     builds its own.  Each (radius, angle) sample walks the orders of
     _LEVIN_ORDERS and is taken at the first order that agrees with the one
-    before it to _LEVIN_AGREE.  A stage of _LEVIN_STAGES tabulates the rows
-    its last order reads, at the angles with an open sample, and stacks its
-    open samples, which each order reads in place; row k of every table
-    depends only on rows 0..k, so staging changes no bit.
-    Returns the real part (cosine) or imaginary part (sine) as (hi, lo),
-    the accepted gap |L_K - L_K'| and the accepted order K, each shaped
-    (radii, angles).  Raises DivergentSeriesError when some sample has no
-    agreeing pair of orders, as near a branch point of (1 + w)**n; the
-    message names the first such sample's |phi|, the angle a grid samples.
+    before it to _LEVIN_AGREE.  In angle blocks of _BLOCK_ELEMS / 2 samples, a
+    stage of _LEVIN_STAGES tabulates the rows its last order reads at the angles
+    with an open sample, in set-up blocks of about _BLOCK_ELEMS terms, and stacks
+    its open samples, which each order reads in place.  Row k of a table depends
+    only on rows 0..k and all else is elementwise: no stage or block moves a bit.
+    Returns (hi, lo) of the real (cosine) or imaginary part (sine), the accepted
+    gap |L_K - L_K'| and order K, each shaped (radii, angles).  Raises
+    DivergentSeriesError when some sample has no agreeing pair of orders, as near
+    a branch point of (1 + w)**n, naming the grid's first, radius-major, by |phi|.
     """
     shape = (len(radii), len(phis))
     out_h, out_l, gap = (np.empty(shape[0] * shape[1]) for _ in range(3))
-    order = np.zeros(out_h.size, dtype=int)
+    order = np.zeros(out_h.size, dtype=int)  # 0 while a sample is open
     part = slice(2, 4) if kind is SeriesKind.SINE else slice(0, 2)  # (hi, lo) of sin or cos
-    todo = np.arange(out_h.size)  # samples not yet accepted, radius-major
-    cols = slice(None)  # angles with such a sample
-    prev = None
-    for stage in _LEVIN_STAGES:
-        rows = stage[-1] + 1
-        ch, cl, sh, sl = (t[:rows, None, cols] for t in (trig or _dd_trig_table(phis, rows)))
-        # c_k r**k shaped (rows, radii, 1), times z**k: the complex terms a_k
-        crh, crl = dd.mul(*(c[:, None] for c in _dd_coeff_arrays(n, rows)),
-                          *_dd_power_arrays(radii, rows))
-        crh, crl = crh[..., None], crl[..., None]
-        re, im = dd.mul(crh, crl, ch, cl), dd.mul(crh, crl, sh, sl)
-        j1 = np.arange(1.0, rows + 1.0)[:, None, None]
-        inv = dd.crecip(*dd.mul(*re, j1, 0.0), *dd.mul(*im, j1, 0.0))
-        sums = (*_dd_scan_axis0(dd.add, *re), *_dd_scan_axis0(dd.add, *im))
-        quot = dd.cmul(*sums, *inv)
-        # numerator and denominator parts stacked on axis 1, the open
-        # samples on axis 2 in the order of ``todo``
-        stack_h = np.stack([quot[0], quot[2], inv[0], inv[2]], axis=1).reshape(rows, 4, -1)
-        stack_l = np.stack([quot[1], quot[3], inv[1], inv[3]], axis=1).reshape(rows, 4, -1)
-        scale = np.maximum.accumulate(np.hypot(sums[0], sums[2]), axis=0).reshape(rows, -1)
-        if todo.size < scale.shape[1]:  # radii x cols holds accepted samples too
-            r, a = np.divmod(todo, shape[1])
-            keep = r * cols.size + np.searchsorted(cols, a)
-            stack_h, stack_l, scale = (np.take(t, keep, axis=-1) for t in (stack_h, stack_l, scale))
-        for K in stage:
-            wh, wl = (w[:, None, None] for w in _LEVIN_WEIGHTS[K])
-            rh, rl = np.empty((2,) + stack_h.shape[1:])  # the weighted sums, a column block at a time
-            step = max(1, _BLOCK_ELEMS // (K + 1))
-            for b in range(0, rh.shape[-1], step):
-                rh[:, b:b + step], rl[:, b:b + step] = _dd_reduce_axis0(*dd.mul(
-                    wh, wl, stack_h[:K + 1, :, b:b + step], stack_l[:K + 1, :, b:b + step]))
-            value = dd.cmul(rh[0], rl[0], rh[1], rl[1], *dd.crecip(rh[2], rl[2], rh[3], rl[3]))
-            if prev is not None:
-                diff = np.hypot(dd.add(*value[:2], -prev[0], -prev[1])[0],
-                                dd.add(*value[2:], -prev[2], -prev[3])[0])
-                ok = diff <= _LEVIN_AGREE * np.maximum(np.hypot(value[0], value[2]), scale[K])
-                done = todo[ok]
-                out_h[done], out_l[done] = (v[ok] for v in value[part])
-                gap[done] = diff[ok]
-                order[done] = K
-                todo = todo[~ok]
-                if not todo.size:
-                    return tuple(a.reshape(shape) for a in (out_h, out_l, gap, order))
-                value = tuple(v[~ok] for v in value)
-                if done.size and K != stage[-1]:  # later orders read only the open samples
-                    stack_h, stack_l, scale = (np.compress(~ok, t, axis=-1) for t in (stack_h, stack_l, scale))
-            prev = value
-        cols = np.flatnonzero((order.reshape(shape) == 0).any(axis=0))  # order 0: open
-    raise DivergentSeriesError(
-        f"Levin orders up to {_LEVIN_ORDERS[-1]} do not agree for n={n} ({kind.value}, "
-        f"|phi|={abs(float(phis[todo[0] % shape[1]]))}, r={float(radii[todo[0] // shape[1]])}): no Abel value")
+    span = max(1, _BLOCK_ELEMS // (2 * shape[0]))  # angles per block: at most _BLOCK_ELEMS / 2 samples
+    for cols in np.split(np.arange(shape[1]), range(span, shape[1], span)):  # the block's angles with an open sample
+        todo = (np.arange(shape[0])[:, None] * shape[1] + cols).ravel()  # its open samples, radius-major
+        prev = None
+        for stage in _LEVIN_STAGES:
+            if not todo.size:
+                break
+            rows, table = stage[-1] + 1, trig or _dd_trig_table(phis, stage[-1] + 1)
+            # c_k r**k shaped (rows, radii, 1), times z**k: the complex terms a_k
+            crh, crl = (c[..., None] for c in dd.mul(*(c[:, None] for c in _dd_coeff_arrays(n, rows)),
+                                                     *_dd_power_arrays(radii, rows)))
+            j1 = np.arange(1.0, rows + 1.0)[:, None, None]
+            # (hi, lo) of the numerator and denominator parts on axis 1, then radii x cols,
+            # filled in even set-up blocks of about _BLOCK_ELEMS terms
+            stack, scale = np.empty((rows, 8, shape[0], cols.size)), np.empty((rows, shape[0], cols.size))
+            width = -(-cols.size // max(1, round(rows * shape[0] * cols.size / _BLOCK_ELEMS)))
+            for b in range(0, cols.size, width):
+                ch, cl, sh, sl = (t[:rows, None, cols[b:b + width]] for t in table)
+                re, im = dd.mul(crh, crl, ch, cl), dd.mul(crh, crl, sh, sl)
+                inv = dd.crecip(*dd.mul(*re, j1, 0.0), *dd.mul(*im, j1, 0.0))
+                sums = (*_dd_scan_axis0(dd.add, *re), *_dd_scan_axis0(dd.add, *im))
+                np.stack((*dd.cmul(*sums, *inv), *inv), axis=1, out=stack[..., b:b + width])
+                np.hypot(sums[0], sums[2], out=scale[..., b:b + width])
+                del re, im, inv, sums  # before the next block's are formed
+            stack_h, stack_l = (stack[:, i::2].reshape(rows, 4, -1) for i in (0, 1))
+            scale = np.maximum.accumulate(scale, axis=0, out=scale).reshape(rows, -1)
+            if todo.size < scale.shape[1]:  # radii x cols holds accepted samples too
+                keep = todo // shape[1] * cols.size + np.searchsorted(cols, todo % shape[1])
+                stack_h, stack_l, scale = (np.take(t, keep, axis=-1) for t in (stack_h, stack_l, scale))
+            for K in stage:
+                wh, wl = (w[:, None, None] for w in _LEVIN_WEIGHTS[K])
+                rh, rl = np.empty((2,) + stack_h.shape[1:])  # the weighted sums, a column block at a time
+                step = max(1, _BLOCK_ELEMS // (K + 1))
+                for b in range(0, rh.shape[-1], step):
+                    rh[:, b:b + step], rl[:, b:b + step] = _dd_reduce_axis0(*dd.mul(
+                        wh, wl, stack_h[:K + 1, :, b:b + step], stack_l[:K + 1, :, b:b + step]))
+                value = dd.cmul(rh[0], rl[0], rh[1], rl[1], *dd.crecip(rh[2], rl[2], rh[3], rl[3]))
+                if prev is not None:
+                    diff = np.hypot(dd.add(*value[:2], -prev[0], -prev[1])[0],
+                                    dd.add(*value[2:], -prev[2], -prev[3])[0])
+                    ok = diff <= _LEVIN_AGREE * np.maximum(np.hypot(value[0], value[2]), scale[K])
+                    done = todo[ok]
+                    out_h[done], out_l[done] = (v[ok] for v in value[part])
+                    gap[done] = diff[ok]
+                    order[done] = K
+                    todo = todo[~ok]
+                    if not todo.size:
+                        break
+                    value = tuple(v[~ok] for v in value)
+                    if done.size and K != stage[-1]:  # later orders read only the open samples
+                        stack_h, stack_l, scale = (np.compress(~ok, t, axis=-1) for t in (stack_h, stack_l, scale))
+                prev = value
+            del stack, stack_h, stack_l, scale  # before the next stage or block allocates its own
+            cols = cols[(order.reshape(shape)[:, cols] == 0).any(axis=0)]
+    first = int(np.argmin(order))  # the first open sample of every block, radius-major
+    if not order[first]:
+        raise DivergentSeriesError(
+            f"Levin orders up to {_LEVIN_ORDERS[-1]} do not agree for n={n} ({kind.value}, "
+            f"|phi|={abs(float(phis[first % shape[1]]))}, r={float(radii[first // shape[1]])}): no Abel value")
+    return tuple(a.reshape(shape) for a in (out_h, out_l, gap, order))
 
 
 def abel_sum_grid(kind: SeriesKind, ns, phis, radii=None) -> dict[float, tuple[np.ndarray, np.ndarray, int]]:
     """Abel sums for several exponents over a shared angle grid.
 
-    Levin samples in double-double (see ``_levin_samples``), with one trig
-    table and one Neville tableau shared across exponents and radii; this
-    is the vectorized back end of ``evaluate_grid``.  Returns, per
+    Levin samples in double-double, in angle blocks (see ``_levin_samples``),
+    with one trig table and one Neville tableau shared across exponents and
+    radii; this is the vectorized back end of ``evaluate_grid``.  Returns, per
     exponent, the array of values aligned with ``phis``, the per-angle
     residual estimates, and the largest Levin order or row length used.
     ``_settle`` judges every point: the points it settles take its value and

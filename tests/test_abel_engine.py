@@ -391,6 +391,56 @@ def test_levin_column_blocks_keep_each_angles_bits():
     assert max(second_stage) > series._BLOCK_ELEMS // 33
 
 
+def _with_block_elems(elems, call, *args):
+    """``call(*args)`` with series._BLOCK_ELEMS set to ``elems`` for the Levin
+    stage, or the message it refuses with.  The trig table keeps its shipped
+    blocks: they set its bits."""
+    shipped, build = series._BLOCK_ELEMS, series._dd_trig_table
+
+    def table(phis, count):
+        with mock.patch.object(series, "_BLOCK_ELEMS", shipped):
+            return build(phis, count)
+
+    with mock.patch.object(series, "_BLOCK_ELEMS", elems), mock.patch.object(series, "_dd_trig_table", table):
+        try:
+            return call(*args)
+        except DivergentSeriesError as exc:
+            return str(exc)
+
+
+def _grid_bits(grid):
+    return {n: ([float(v).hex() for v in values], [float(e).hex() for e in residuals], used)
+            for n, (values, residuals, used) in grid.items()}
+
+
+def test_levin_angle_and_set_up_blocks_change_no_bit():
+    # at 256 elements an angle block holds 16 angles of the 8 suite radii and
+    # a set-up block 1 or 2 (one angle has 200 terms at 25 rows), so the suite
+    # angles and a 0.1 degree band below 170 degrees span several of both
+    elems, radii = 256, NEGATIVE_SUITE_RADII
+    phis = np.concatenate([_suite_abel_angles(), np.radians(np.arange(1690, 1700) / 10.0)])
+    assert phis.size > 4 * (elems // (2 * len(radii)))
+    trig = _dd_trig_table(phis, _LEVIN_ROWS)
+    for n in (-3.0, -6.0):
+        args = (SeriesKind.COSINE, n, phis, radii, trig)
+        samples = _bits(_levin_samples(*args))
+        assert _bits(_with_block_elems(elems, _levin_samples, *args)) == samples
+    # the second stage ran (at n = -6), on angles of more than one block
+    assert len({i % phis.size // (elems // (2 * len(radii))) for i, (*_, k) in enumerate(samples)
+                if k > series._LEVIN_STAGES[0][-1]}) > 1
+    signed = np.concatenate([phis, -phis[::7]])
+    args = (SeriesKind.SINE, [-3.0, -6.0], signed, radii)
+    assert _grid_bits(_with_block_elems(elems, series.abel_sum_grid, *args)) == \
+        _grid_bits(series.abel_sum_grid(*args))
+    # a refused grid names its first open sample in radius-major order, not
+    # its first open block's: at n = -3, 179.3 degrees is open at r[7] alone
+    # and 179.6 degrees from r[3] on, and one angle block holds one angle
+    args = (SeriesKind.COSINE, [-3.0], np.radians([179.3, 179.6]), radii)
+    message = _with_block_elems(2 * len(radii), series.abel_sum_grid, *args)
+    assert message == _with_block_elems(series._BLOCK_ELEMS, series.abel_sum_grid, *args)
+    assert f"|phi|={math.radians(179.6)!r}, r={radii[3]!r})" in message
+
+
 def _reduce_by_concatenation(th, tl):
     """The pairwise double-double sum along axis 0, each level a new array."""
     while th.shape[0] > 1:
@@ -413,22 +463,49 @@ def test_in_place_reduction_pairs_rows_as_concatenation_does(rows):
         assert [x.hex() for x in a.ravel().tolist()] == [x.hex() for x in b.ravel().tolist()]
 
 
-@pytest.mark.parametrize("ns, bound_mib", [([-3.0], 5.0), ([-1.0, -2.0, -3.0, -4.0, -5.0, -6.0], 5.5)],
-                         ids=["one_exponent", "six_exponents"])
-def test_the_abel_grid_memory_peak_is_bounded(ns, bound_mib):
-    # aim 3: the order loop forms its weighted rows a column block at a
-    # time.  tracemalloc peaked at 3.72 MiB (one exponent) and 4.80 MiB
-    # (six) with the blocks, and at 6.05 and 6.16 MiB with each order's
-    # whole (K + 1) x 4 x samples product, which these bounds refuse
-    phis = _suite_abel_angles().tolist()
-    series.abel_sum_grid(SeriesKind.COSINE, ns, phis, NEGATIVE_SUITE_RADII)  # warm up
+def _grid_peak(ns, phis):
+    """The tracemalloc peak of abel_sum_grid on the suite radii, in MiB."""
     tracemalloc.start()
     try:
         series.abel_sum_grid(SeriesKind.COSINE, ns, phis, NEGATIVE_SUITE_RADII)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
-    assert peak < bound_mib * 2 ** 20
+
+
+@pytest.mark.parametrize("ns, bound_mib", [([-3.0], 2.75), ([-1.0, -2.0, -3.0, -4.0, -5.0, -6.0], 2.75)],
+                         ids=["one_exponent", "six_exponents"])
+def test_the_abel_grid_memory_peak_is_bounded(ns, bound_mib):
+    # aim 3: the Levin stage builds its stacks in set-up blocks and its order
+    # loop forms the weighted rows a column block at a time.  tracemalloc
+    # peaked at 2.19 MiB (one exponent) and 2.30 MiB (six) with both, at 3.72
+    # and 4.80 MiB with whole-grid set-up arrays, and at 6.05 and 6.16 MiB
+    # with each order's whole (K + 1) x 4 x samples product as well
+    phis = _suite_abel_angles().tolist()
+    series.abel_sum_grid(SeriesKind.COSINE, ns, phis, NEGATIVE_SUITE_RADII)  # warm up
+    assert _grid_peak(ns, phis) < bound_mib
+
+
+def test_a_fine_abel_grid_peaks_near_the_suite_grid():
+    # aim 3: the Levin stage runs in angle blocks of _BLOCK_ELEMS / 2 samples,
+    # so 1024 angles at 0.1 degrees peaked at 6.95 MiB against the 84 suite
+    # angles' 2.19 MiB (one exponent); with the whole grid in one block they
+    # peaked at 41.46 against 3.71 MiB, which the bound refuses.  Each trig
+    # table is built once, untraced, and copied: tracing the big integers of
+    # its words would take most of a second
+    build, tables = series._dd_trig_table, {}
+
+    def table(phis, count):
+        if (phis.tobytes(), count) not in tables:
+            tables[phis.tobytes(), count] = build(phis, count)
+        return tuple(t.copy() for t in tables[phis.tobytes(), count])
+
+    peaks = []
+    with mock.patch.object(series, "_dd_trig_table", table):
+        for phis in (_suite_abel_angles().tolist(), np.radians(np.arange(1, 1025) / 10.0).tolist()):
+            series.abel_sum_grid(SeriesKind.COSINE, [-3.0], phis, NEGATIVE_SUITE_RADII)  # warm up
+            peaks.append(_grid_peak([-3.0], phis))
+    assert peaks[1] < 4 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("kind, ns, degrees, radii", [
