@@ -21,7 +21,7 @@ import sys
 
 from .closed_forms import evaluate_closed
 from .exceptions import DivergentSeriesError, DomainError
-from .series import SUMMATION_METHODS, SeriesSpec, SummationMethod, evaluate
+from .series import SUMMATION_METHODS, SeriesSpec, SummationMethod, _value_or_nan, evaluate
 from .suites import MAX_GRID_ANGLES, SUITE_NAMES, _num, run_suite, write_report
 
 EXIT_OK = 0
@@ -112,13 +112,6 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.failed == 0 else EXIT_FAILURES
 
 
-def _table_cell(method: str, spec: SeriesSpec, terms: int | None) -> float:
-    try:
-        return evaluate(spec, method, terms=terms).value
-    except (DomainError, DivergentSeriesError):
-        return math.nan
-
-
 def _cmd_table(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
@@ -141,7 +134,7 @@ def _cmd_table(args) -> int:
     for i in range(count):
         phi = args.from_angle + i * args.step
         spec = SeriesSpec(args.kind, args.n, phi)
-        cells = [_table_cell(m, spec, args.terms) for m in methods]
+        cells = [_value_or_nan(spec, m, args.terms) for m in methods]
         cells.append(evaluate_closed(spec.kind, spec.n, phi).value)
         lines.append(",".join([_num(math.degrees(phi)), _num(phi)] + [_num(c) for c in cells]))
     print("\n".join(lines))

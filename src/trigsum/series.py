@@ -55,9 +55,9 @@ _ABEL_CUT_LOG = math.log(1e-22)
 MAX_TERMS = 5_000_000
 
 # Most elements in one block of the Abel engine's trig table, of a term budget's chunk, of
-# plain-double terms, of a Levin set-up block, or of each part of a Levin order loop's column
-# block; a Levin angle block holds half as many samples.  Larger blocks cost memory and,
-# past about 2**13 elements, run the double-double kernels slower per element.
+# plain-double terms, or of a Levin set-up block; a Levin angle block holds half as many
+# samples.  Larger blocks cost memory and, past about 2**13 elements, run the double-double
+# kernels slower per element.
 _BLOCK_ELEMS = 2 ** 12
 _EXP_BIAS = 1073  # np.frexp gives exponents -1073 .. 1024 for finite doubles
 
@@ -588,13 +588,13 @@ def evaluate_grid(rows, phis: tuple, method: SummationMethod, radii=None) -> lis
             part = (rot.imag if kind is SeriesKind.SINE else rot.real)[:int(n) + 1]
             terms = binom_scan(n, int(n) + 1)[:, None] * part  # one column per angle
             grid[kind, n] = np.array([math.fsum(col) for col in terms.T.tolist()])
-    return [grid[row] if row in grid else np.array([_value_or_nan(SeriesSpec(*row, phi), method, radii)
+    return [grid[row] if row in grid else np.array([_value_or_nan(SeriesSpec(*row, phi), method, radii=radii)
                                                     for phi in phis]) for row in rows]
 
 
-def _value_or_nan(spec: SeriesSpec, method: SummationMethod, radii) -> float:
+def _value_or_nan(spec: SeriesSpec, method: SummationMethod, terms=None, radii=None) -> float:
     try:
-        return evaluate(spec, method, radii=radii).value
+        return evaluate(spec, method, terms=terms, radii=radii).value
     except (DivergentSeriesError, DomainError):
         return math.nan
 
@@ -723,8 +723,8 @@ def _dd_reduce_axis0(th: np.ndarray, tl: np.ndarray):
 #: Orders walked for each sample; the last one needs _LEVIN_ROWS terms.
 _LEVIN_ORDERS = tuple(range(16, 65, 8))
 _LEVIN_ROWS = _LEVIN_ORDERS[-1] + 1
-#: Orders 16 and 24 (25 rows) settle most samples.
-_LEVIN_STAGES = (_LEVIN_ORDERS[:2], _LEVIN_ORDERS[2:])
+#: Pairs of orders, of 25, 41, 57 or 65 rows; orders 16 and 24 settle most samples.
+_LEVIN_STAGES = tuple(_LEVIN_ORDERS[i:i + 2] for i in range(0, len(_LEVIN_ORDERS), 2))
 #: Two consecutive orders agree when |L_K - L_K'| is at most this times
 #: max(|L_K|, max_j |s_j|).  Near the half-turn the error of L_K falls and
 #: then rises again within a few orders: at n = -2.5, 170 deg and r = 0.996
@@ -761,14 +761,15 @@ def _levin_samples(kind: SeriesKind, n: float, phis: np.ndarray, radii, trig=Non
     """Abel radial samples of the complex series by Levin's u transform.
 
     ``trig``, a _dd_trig_table of ``phis`` with at least _LEVIN_ROWS rows,
-    serves callers that sample several exponents; left out, each stage
-    builds its own.  Each (radius, angle) sample walks the orders of
-    _LEVIN_ORDERS and is taken at the first order that agrees with the one
-    before it to _LEVIN_AGREE.  In angle blocks of _BLOCK_ELEMS / 2 samples, a
-    stage of _LEVIN_STAGES tabulates the rows its last order reads at the angles
-    with an open sample, in set-up blocks of about _BLOCK_ELEMS terms, and stacks
-    its open samples, which each order reads in place.  Row k of a table depends
-    only on rows 0..k and all else is elementwise: no stage or block moves a bit.
+    serves callers that sample several exponents; left out, one table is built,
+    and built again longer only when a stage needs more rows.  Each (radius,
+    angle) sample walks the orders of _LEVIN_ORDERS and is taken at the first
+    order that agrees with the one before it to _LEVIN_AGREE.  In angle blocks of
+    _BLOCK_ELEMS / 2 samples, a stage of _LEVIN_STAGES tabulates the rows its last
+    order reads at the angles with an open sample, in set-up blocks of about
+    _BLOCK_ELEMS terms, each summed at once into every order's weighted sums;
+    each order then judges the open samples.  Row k of a table depends only on
+    rows 0..k and all else is elementwise: no stage or block moves a bit.
     Returns (hi, lo) of the real (cosine) or imaginary part (sine), the accepted
     gap |L_K - L_K'| and order K, each shaped (radii, angles).  Raises
     DivergentSeriesError when some sample has no agreeing pair of orders, as near
@@ -779,59 +780,52 @@ def _levin_samples(kind: SeriesKind, n: float, phis: np.ndarray, radii, trig=Non
     order = np.zeros(out_h.size, dtype=int)  # 0 while a sample is open
     part = slice(2, 4) if kind is SeriesKind.SINE else slice(0, 2)  # (hi, lo) of sin or cos
     span = max(1, _BLOCK_ELEMS // (2 * shape[0]))  # angles per block: at most _BLOCK_ELEMS / 2 samples
-    for cols in np.split(np.arange(shape[1]), range(span, shape[1], span)):  # the block's angles with an open sample
-        todo = (np.arange(shape[0])[:, None] * shape[1] + cols).ravel()  # its open samples, radius-major
-        prev = None
+    for cols in np.split(np.arange(shape[1]), range(span, shape[1], span)):
+        prev = None  # the last order's values at the open samples, radius-major
         for stage in _LEVIN_STAGES:
-            if not todo.size:
+            cols = cols[(order.reshape(shape)[:, cols] == 0).any(axis=0)]  # the angles with an open sample
+            if not cols.size:
                 break
-            rows, table = stage[-1] + 1, trig or _dd_trig_table(phis, stage[-1] + 1)
+            ids = (np.arange(shape[0])[:, None] * shape[1] + cols).ravel()  # their samples, radius-major
+            rows = stage[-1] + 1
+            if trig is None or len(trig[0]) < rows:  # a shorter table is the longer one's prefix
+                trig = _dd_trig_table(phis, rows)
             # c_k r**k shaped (rows, radii, 1), times z**k: the complex terms a_k
             crh, crl = (c[..., None] for c in dd.mul(*(c[:, None] for c in _dd_coeff_arrays(n, rows)),
                                                      *_dd_power_arrays(radii, rows)))
             j1 = np.arange(1.0, rows + 1.0)[:, None, None]
-            # (hi, lo) of the numerator and denominator parts on axis 1, then radii x cols,
-            # filled in even set-up blocks of about _BLOCK_ELEMS terms
-            stack, scale = np.empty((rows, 8, shape[0], cols.size)), np.empty((rows, shape[0], cols.size))
+            # per order: (hi, lo) of its weighted numerator and denominator parts, and max_j |s_j|
+            sums = np.empty((len(stage), 2, 4, shape[0], cols.size))
+            scale = np.empty((len(stage), shape[0], cols.size))
             width = -(-cols.size // max(1, round(rows * shape[0] * cols.size / _BLOCK_ELEMS)))
             for b in range(0, cols.size, width):
-                ch, cl, sh, sl = (t[:rows, None, cols[b:b + width]] for t in table)
+                ch, cl, sh, sl = (t[:rows, None, cols[b:b + width]] for t in trig)
                 re, im = dd.mul(crh, crl, ch, cl), dd.mul(crh, crl, sh, sl)
                 inv = dd.crecip(*dd.mul(*re, j1, 0.0), *dd.mul(*im, j1, 0.0))
-                sums = (*_dd_scan_axis0(dd.add, *re), *_dd_scan_axis0(dd.add, *im))
-                np.stack((*dd.cmul(*sums, *inv), *inv), axis=1, out=stack[..., b:b + width])
-                np.hypot(sums[0], sums[2], out=scale[..., b:b + width])
-                del re, im, inv, sums  # before the next block's are formed
-            stack_h, stack_l = (stack[:, i::2].reshape(rows, 4, -1) for i in (0, 1))
-            scale = np.maximum.accumulate(scale, axis=0, out=scale).reshape(rows, -1)
-            if todo.size < scale.shape[1]:  # radii x cols holds accepted samples too
-                keep = todo // shape[1] * cols.size + np.searchsorted(cols, todo % shape[1])
-                stack_h, stack_l, scale = (np.take(t, keep, axis=-1) for t in (stack_h, stack_l, scale))
-            for K in stage:
-                wh, wl = (w[:, None, None] for w in _LEVIN_WEIGHTS[K])
-                rh, rl = np.empty((2,) + stack_h.shape[1:])  # the weighted sums, a column block at a time
-                step = max(1, _BLOCK_ELEMS // (K + 1))
-                for b in range(0, rh.shape[-1], step):
-                    rh[:, b:b + step], rl[:, b:b + step] = _dd_reduce_axis0(*dd.mul(
-                        wh, wl, stack_h[:K + 1, :, b:b + step], stack_l[:K + 1, :, b:b + step]))
+                partial = (*_dd_scan_axis0(dd.add, *re), *_dd_scan_axis0(dd.add, *im))
+                scale[..., b:b + width] = np.maximum.accumulate(np.hypot(partial[0], partial[2]))[list(stage)]
+                terms = np.stack((*dd.cmul(*partial, *inv), *inv), axis=1)  # (rows, 8, radii, width)
+                del re, im, inv, partial  # before the weighted rows are formed
+                for i, K in enumerate(stage):
+                    wh, wl = (w[:, None, None, None] for w in _LEVIN_WEIGHTS[K])
+                    sums[i, 0, ..., b:b + width], sums[i, 1, ..., b:b + width] = _dd_reduce_axis0(*dd.mul(
+                        wh, wl, terms[:K + 1, 0::2], terms[:K + 1, 1::2]))
+            for i, K in enumerate(stage):
+                open_ = np.flatnonzero(order[ids] == 0)
+                if not open_.size:
+                    break
+                rh, rl = sums[i].reshape(2, 4, -1)[..., open_]
                 value = dd.cmul(rh[0], rl[0], rh[1], rl[1], *dd.crecip(rh[2], rl[2], rh[3], rl[3]))
                 if prev is not None:
                     diff = np.hypot(dd.add(*value[:2], -prev[0], -prev[1])[0],
                                     dd.add(*value[2:], -prev[2], -prev[3])[0])
-                    ok = diff <= _LEVIN_AGREE * np.maximum(np.hypot(value[0], value[2]), scale[K])
-                    done = todo[ok]
+                    ok = diff <= _LEVIN_AGREE * np.maximum(np.hypot(value[0], value[2]), scale[i].ravel()[open_])
+                    done = ids[open_[ok]]
                     out_h[done], out_l[done] = (v[ok] for v in value[part])
                     gap[done] = diff[ok]
                     order[done] = K
-                    todo = todo[~ok]
-                    if not todo.size:
-                        break
                     value = tuple(v[~ok] for v in value)
-                    if done.size and K != stage[-1]:  # later orders read only the open samples
-                        stack_h, stack_l, scale = (np.compress(~ok, t, axis=-1) for t in (stack_h, stack_l, scale))
                 prev = value
-            del stack, stack_h, stack_l, scale  # before the next stage or block allocates its own
-            cols = cols[(order.reshape(shape)[:, cols] == 0).any(axis=0)]
     first = int(np.argmin(order))  # the first open sample of every block, radius-major
     if not order[first]:
         raise DivergentSeriesError(

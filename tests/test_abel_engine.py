@@ -296,17 +296,18 @@ def _bits(samples):
 
 
 def _staged_and_unstaged(*args):
-    """_levin_samples(*args) in its stages and in one stage of every order
-    on all rows: the same bits, or the same refusal.  The staged samples
-    (None on a refusal) are returned."""
+    """_levin_samples(*args) in its stages of two orders, in the two stages
+    (16, 24) and (32, ..., 64), and in one stage of every order on all rows:
+    the same bits, or the same refusal.  The staged samples (None on a
+    refusal) are returned."""
     results = []
-    for stages in (series._LEVIN_STAGES, (_LEVIN_ORDERS,)):
+    for stages in (series._LEVIN_STAGES, (_LEVIN_ORDERS[:2], _LEVIN_ORDERS[2:]), (_LEVIN_ORDERS,)):
         with mock.patch.object(series, "_LEVIN_STAGES", stages):
             try:
                 results.append(_bits(_levin_samples(*args)))
             except DivergentSeriesError as exc:
                 results.append(str(exc))
-    assert results[0] == results[1]
+    assert results[0] == results[1] == results[2]
     return None if isinstance(results[0], str) else results[0]
 
 
@@ -328,7 +329,7 @@ def test_levin_stages_change_no_bit():
         for n in (-2.5, -3.0, -6.0):
             for kind in SeriesKind:
                 samples.append(_staged_and_unstaged(kind, n, band, NEGATIVE_SUITE_RADII, trig))
-    # one angle builds its own table per stage
+    # one angle builds its own table, longer for a later stage
     for degrees in (1.0, 90.0, 150.0, 170.0, 179.0):
         for n in (-2.5, -3.0, -6.0):
             samples.append(_staged_and_unstaged(SeriesKind.SINE, n, np.radians([degrees]),
@@ -342,6 +343,24 @@ def test_levin_stages_change_no_bit():
         _levin_samples(SeriesKind.COSINE, -3.0, np.array([math.pi - 1e-6]), DEFAULT_ABEL_RADII)
 
 
+def test_levin_builds_each_trig_table_length_once():
+    # without a table, 600 angles at the 8 suite radii span 3 angle blocks:
+    # the first stage's 25 rows are built once for all of them, and a longer
+    # table only when a stage first needs one
+    build, counts = series._dd_trig_table, []
+
+    def table(phis, count):
+        counts.append(count)
+        return build(phis, count)
+
+    phis = np.radians(np.linspace(1.0, 169.0, 600))
+    assert phis.size > 2 * (series._BLOCK_ELEMS // (2 * len(NEGATIVE_SUITE_RADII)))
+    with mock.patch.object(series, "_dd_trig_table", table):
+        _levin_samples(SeriesKind.COSINE, -6.0, phis, NEGATIVE_SUITE_RADII)
+    assert len(counts) == len(set(counts)), counts
+    assert counts[0] == series._LEVIN_STAGES[0][-1] + 1 and len(counts) > 1, counts
+
+
 def _bits_or_refusal(*args):
     try:
         return _bits(_levin_samples(*args))
@@ -350,8 +369,9 @@ def _bits_or_refusal(*args):
 
 
 def test_each_angle_of_a_grid_keeps_its_bits():
-    # a grid drops its accepted samples from the orders after them; every
-    # angle gets the samples of a one-angle grid on the same table column
+    # a grid judges only its open samples at each order and runs a later stage
+    # only at angles with an open sample; every angle gets the samples of a
+    # one-angle grid on the same table column
     mixed = False
     for first in range(160, 180):
         band = np.radians(np.arange(10 * first, 10 * first + 10) / 10.0)
@@ -373,9 +393,9 @@ def test_each_angle_of_a_grid_keeps_its_bits():
 
 
 def test_levin_column_blocks_keep_each_angles_bits():
-    # the order loop sums its weighted rows a column block of samples at a
-    # time; with a 0.1 degree band below 170 degrees, orders 16 and 24 span
-    # at least 3 blocks, and at n = -6 the second stage more than one
+    # the suite angles and a 0.1 degree band below 170 degrees give more than
+    # 2 * _BLOCK_ELEMS / 17 samples, and at n = -6 more than _BLOCK_ELEMS / 33
+    # of them pass order 24: every angle keeps the bits of a one-angle grid
     phis = np.concatenate([_suite_abel_angles(), np.radians(np.arange(1690, 1700) / 10.0)])
     trig = _dd_trig_table(phis, _LEVIN_ROWS)
     second_stage = []
@@ -473,14 +493,16 @@ def _grid_peak(ns, phis):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("ns, bound_mib", [([-3.0], 2.75), ([-1.0, -2.0, -3.0, -4.0, -5.0, -6.0], 2.75)],
+@pytest.mark.parametrize("ns, bound_mib", [([-3.0], 1.8), ([-1.0, -2.0, -3.0, -4.0, -5.0, -6.0], 2.1)],
                          ids=["one_exponent", "six_exponents"])
 def test_the_abel_grid_memory_peak_is_bounded(ns, bound_mib):
-    # aim 3: the Levin stage builds its stacks in set-up blocks and its order
-    # loop forms the weighted rows a column block at a time.  tracemalloc
-    # peaked at 2.19 MiB (one exponent) and 2.30 MiB (six) with both, at 3.72
-    # and 4.80 MiB with whole-grid set-up arrays, and at 6.05 and 6.16 MiB
-    # with each order's whole (K + 1) x 4 x samples product as well
+    # aim 3: the Levin stage tabulates its rows in set-up blocks of about
+    # _BLOCK_ELEMS terms, and each block adds at once into the per-order sums
+    # of its stage.  tracemalloc peaked at 1.38 MiB (one exponent) and 1.75
+    # MiB (six); at 2.19 and 2.30 MiB with a stage-wide stack of the terms,
+    # which the bounds refuse, at 3.72 and 4.80 MiB with whole-grid set-up
+    # arrays, and at 6.05 and 6.16 MiB with each order's whole
+    # (K + 1) x 4 x samples product as well
     phis = _suite_abel_angles().tolist()
     series.abel_sum_grid(SeriesKind.COSINE, ns, phis, NEGATIVE_SUITE_RADII)  # warm up
     assert _grid_peak(ns, phis) < bound_mib
@@ -488,8 +510,8 @@ def test_the_abel_grid_memory_peak_is_bounded(ns, bound_mib):
 
 def test_a_fine_abel_grid_peaks_near_the_suite_grid():
     # aim 3: the Levin stage runs in angle blocks of _BLOCK_ELEMS / 2 samples,
-    # so 1024 angles at 0.1 degrees peaked at 6.95 MiB against the 84 suite
-    # angles' 2.19 MiB (one exponent); with the whole grid in one block they
+    # so 1024 angles at 0.1 degrees peaked at 3.82 MiB against the 84 suite
+    # angles' 1.38 MiB (one exponent); with the whole grid in one block they
     # peaked at 41.46 against 3.71 MiB, which the bound refuses.  Each trig
     # table is built once, untraced, and copied: tracing the big integers of
     # its words would take most of a second
